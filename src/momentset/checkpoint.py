@@ -10,7 +10,9 @@ Model parameters are stored under their own names, Adam moments under
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -18,11 +20,18 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import BadMagicError, CheckpointError, TruncatedFileError, VersionMismatchError
-from .model import MomentSetModel
+from .model import ModelConfig, MomentSetModel
 from .optim import Adam
 
 MAGIC = b"MALC"
 VERSION = 1
+
+# RunConfig fields a checkpoint must share with the run that restores it:
+# the model and the optimizer schedule. The dataset, the epoch count and the
+# eval settings (workers included) may differ.
+IDENTITY_FIELDS = (*(f.name for f in dataclasses.fields(ModelConfig)),
+                   "lr", "beta1", "beta2", "epsilon", "batch_size",
+                   "freeze_intervals")
 
 
 @dataclass
@@ -53,36 +62,39 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _unpack(fmt: str, blob: bytes, off: int, path, what: str):
+    """struct.unpack_from after checking that the file holds all of fmt;
+    returns the values and the offset just past them."""
+    end = off + struct.calcsize(fmt)
+    if len(blob) < end:
+        raise TruncatedFileError(f"{path}: truncated {what}")
+    return struct.unpack_from(fmt, blob, off), end
+
+
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as f:
         blob = f.read()
-    if len(blob) < 12:
-        raise TruncatedFileError(f"{path}: shorter than the checkpoint header")
-    magic, version, cfg_len = struct.unpack_from("<4sII", blob, 0)
+    (magic, version, cfg_len), off = _unpack("<4sII", blob, 0, path, "header")
     if magic != MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
-    off = 12
-    if len(blob) < off + cfg_len + 20:
-        raise TruncatedFileError(f"{path}: truncated config block")
-    config = json.loads(blob[off:off + cfg_len].decode("utf-8"))
-    off += cfg_len
-    epochs_done, step, count = struct.unpack_from("<QQI", blob, off)
-    off += 20
+    (cfg_bytes,), off = _unpack(f"<{cfg_len}s", blob, off, path, "config block")
+    try:
+        config = json.loads(cfg_bytes.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: unreadable config block ({e})") from e
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config block is not a JSON object")
+    (epochs_done, step, count), off = _unpack("<QQI", blob, off, path, "counters")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        if len(blob) < off + 4:
-            raise TruncatedFileError(f"{path}: truncated tensor table")
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
+        (name_len,), off = _unpack("<I", blob, off, path, "tensor table")
+        (name_bytes,), off = _unpack(f"<{name_len}s", blob, off, path, "tensor table")
+        name = name_bytes.decode("utf-8", errors="replace")
+        (ndim,), off = _unpack("<I", blob, off, path, "tensor table")
+        shape, off = _unpack(f"<{ndim}I", blob, off, path, "tensor table")
+        size = math.prod(shape)
         if len(blob) < off + size * 8:
             raise TruncatedFileError(f"{path}: truncated payload for '{name}'")
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
@@ -93,17 +105,23 @@ def load_checkpoint(path) -> CheckpointData:
 
 def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
             optimizer: Adam):
-    """Load checkpointed tensors into an existing model/optimizer pair."""
-    # epochs may grow on resume; everything else must match exactly
-    saved = {k: v for k, v in data.config.items() if k != "epochs"}
-    current = {k: v for k, v in config.to_dict().items() if k != "epochs"}
-    if saved != current:
-        raise CheckpointError("checkpoint config does not match the run config")
+    """Load checkpointed tensors into an existing model/optimizer pair.
+
+    Only IDENTITY_FIELDS of the two configs must match. Every tensor is
+    checked before any is assigned, so a bad checkpoint changes nothing.
+    """
+    differ = [k for k in IDENTITY_FIELDS
+              if data.config.get(k) != getattr(config, k)]
+    if differ:
+        raise CheckpointError(
+            f"checkpoint config does not match the run config ({', '.join(differ)})")
     for name, p in model.params.items():
-        if name not in data.tensors:
-            raise CheckpointError(f"checkpoint is missing parameter '{name}'")
-        if data.tensors[name].shape != p.data.shape:
-            raise CheckpointError(f"shape mismatch for parameter '{name}'")
+        for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+            if key not in data.tensors:
+                raise CheckpointError(f"checkpoint is missing tensor '{key}'")
+            if data.tensors[key].shape != p.data.shape:
+                raise CheckpointError(f"shape mismatch for tensor '{key}'")
+    for name, p in model.params.items():
         p.data = data.tensors[name].copy()
         optimizer.m[name] = data.tensors[f"opt.m.{name}"].copy()
         optimizer.v[name] = data.tensors[f"opt.v.{name}"].copy()

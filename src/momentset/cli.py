@@ -20,6 +20,7 @@ from .config import RunConfig
 from .errors import CheckpointError, ConfigError, MomentSetError, OptimizerError
 from .model import MomentSetModel
 from .optim import Adam
+from .temporal import TemporalTable
 
 log = logging.getLogger(__name__)
 
@@ -186,15 +187,9 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _video_prediction_chunks(model, chunks, workers: int = 1):
-    def run(chunk):
-        with tt.no_grad():
-            return model.forward(chunk.features)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(run, chunks))
-    return [run(c) for c in chunks]
+def _video_prediction_chunks(model, chunks):
+    with tt.no_grad():
+        return [model.forward(c.features) for c in chunks]
 
 
 def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
@@ -203,7 +198,7 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
     scores = np.zeros((len(vids), vocab.size))
     labels = np.zeros((len(vids), vocab.size), dtype=bool)
     for r, vid in enumerate(vids):
-        preds = _video_prediction_chunks(model, videos[vid], config.workers)
+        preds = _video_prediction_chunks(model, videos[vid])
         per_chunk = [evaluate.recognition_scores(p, vocab.vectors) for p in preds]
         scores[r] = np.mean(per_chunk, axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
@@ -213,28 +208,34 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
             "config": config.to_dict()}
 
 
-def nlq_video_candidates(model: MomentSetModel, chunks, chunk_seconds: float,
-                         query_vec: np.ndarray, duration: float,
-                         preds=None) -> list[tuple[float, float, float]]:
+def decode_video_spans(table: TemporalTable, preds, durations,
+                       chunk_seconds: float) -> np.ndarray:
+    """Every query slot's (start, end) on the global timeline; (sum N) x 2.
+
+    Each chunk's start and end embeddings are decoded together in one call,
+    re-based by the chunk offset and swapped where start > end. Rows are
+    chunk-major, then slot order, matching the concatenated visual rows.
+    """
+    spans = []
+    for k, (pred, duration) in enumerate(zip(preds, durations)):
+        n = pred.te_start.data.shape[0]
+        t = table.decode_timestamps(
+            np.vstack([pred.te_start.data, pred.te_end.data]), duration)
+        spans.append(k * chunk_seconds + np.sort(t.reshape(2, n).T, axis=1))
+    return np.vstack(spans)
+
+
+def nlq_video_candidates(visual: np.ndarray, spans: np.ndarray,
+                         query_vec: np.ndarray) -> list[tuple[float, float, float]]:
     """All (score, start, end) candidates for one query, global timeline.
 
-    Chunks are decoded independently and their intervals re-based by the
-    chunk offset; candidates are sorted by similarity, descending.
+    ``visual`` and ``spans`` hold every query slot of a video's chunks,
+    chunk-major (see decode_video_spans). Candidates are sorted by
+    similarity, descending; ties keep chunk order, then slot order.
     """
-    if preds is None:
-        preds = _video_prediction_chunks(model, chunks)
-    cands = []
-    for k, (chunk, pred) in enumerate(zip(chunks, preds)):
-        offset = k * chunk_seconds
-        order, sims = evaluate.rank_queries(pred, query_vec)
-        for i in order:
-            s = model.temporal.decode_timestamp(pred.te_start.data[i], chunk.duration)
-            e = model.temporal.decode_timestamp(pred.te_end.data[i], chunk.duration)
-            if s > e:
-                s, e = e, s
-            cands.append((float(sims[i]), offset + s, offset + e))
-    cands.sort(key=lambda c: -c[0])
-    return cands
+    order, sims = evaluate.rank_queries(visual, query_vec)
+    return [(score, s, e) for score, (s, e)
+            in zip(sims[order].tolist(), spans[order].tolist())]
 
 
 def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
@@ -245,12 +246,13 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
     for vid in sorted(videos):
         meta = manifest["videos"][vid]
         chunks = videos[vid]
-        preds = _video_prediction_chunks(model, chunks, config.workers)
+        preds = _video_prediction_chunks(model, chunks)
+        visual = np.vstack([p.visual.data for p in preds])
+        spans = decode_video_spans(model.temporal, preds,
+                                   [c.duration for c in chunks], meta["chunk_seconds"])
         for n in meta["narrations"]:
-            qvec = vocab.vectors[n["concept_id"]]
             cands = nlq_video_candidates(
-                model, chunks, meta["chunk_seconds"], qvec,
-                meta["duration"], preds=preds)
+                visual, spans, vocab.vectors[n["concept_id"]])
             intervals = [(s, e) for _, s, e in cands]
             gt = (n["a"], n["b"])
             gt_intervals.append(gt)
@@ -327,7 +329,8 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=Path, help="JSON run config")
     common.add_argument("--seed", type=int, help="override config seed")
-    common.add_argument("--workers", type=int, help="parallel workers")
+    common.add_argument("--workers", type=int,
+                        help="threads for generate (train and eval ignore it)")
 
     p = sub.add_parser("generate", parents=[common],
                        help="generate a synthetic dataset")

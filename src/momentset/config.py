@@ -62,10 +62,6 @@ class RunConfig:
             problems.append(
                 f"heads*head_dim ({self.heads}*{self.head_dim}) != model_dim "
                 f"({self.model_dim})")
-        if self.queries < self.moments_per_video:
-            problems.append(
-                f"queries ({self.queries}) < moments_per_video "
-                f"({self.moments_per_video})")
         if self.fps < 1:
             problems.append("fps must be >= 1")
         if self.duration <= 0 or self.chunk_seconds <= 0:

@@ -6,22 +6,12 @@ Everything here is a pure function of frozen model outputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import MomentPrediction
-from .temporal import TemporalTable
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class NlqQuery:
-    video_id: str
-    concept_id: int
-    gt_start: float
-    gt_end: float
 
 
 def recognition_scores(pred: MomentPrediction,
@@ -63,25 +53,12 @@ def video_map(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def rank_queries(pred: MomentPrediction, query_vec: np.ndarray):
-    """Query slots sorted by cosine with the language query, descending."""
-    sims = pred.visual.data @ np.asarray(query_vec).reshape(-1)
+    """Query slots sorted by cosine with the language query, descending;
+    ties keep slot order. ``pred`` may also be a bare N x C visual matrix."""
+    visual = pred.visual.data if isinstance(pred, MomentPrediction) else np.asarray(pred)
+    sims = visual @ np.asarray(query_vec).reshape(-1)
     order = np.argsort(-sims, kind="stable")
     return order, sims
-
-
-def nlq_infer(pred: MomentPrediction, query_vec: np.ndarray,
-              table: TemporalTable, duration: float,
-              k: int) -> list[tuple[float, float]]:
-    """Top-k decoded (start, end) intervals for one language query."""
-    order, _ = rank_queries(pred, query_vec)
-    out = []
-    for i in order[:k]:
-        s = table.decode_timestamp(pred.te_start.data[i], duration)
-        e = table.decode_timestamp(pred.te_end.data[i], duration)
-        if s > e:
-            s, e = e, s
-        out.append((s, e))
-    return out
 
 
 def temporal_iou(p: tuple[float, float], g: tuple[float, float]) -> float:

@@ -97,22 +97,24 @@ class TemporalTable:
         coords = np.array([self._coord(t, duration) for t in ts])
         return interp_table_rows(self.table, coords)
 
-    def decode_timestamp(self, pred: np.ndarray, duration: float) -> float:
-        """Map a predicted embedding back to seconds.
+    def decode_timestamps(self, preds: np.ndarray, duration: float) -> np.ndarray:
+        """Map M predicted embeddings (M x d) back to M seconds.
 
-        Argmax of cosine similarity against the base table rows; ties go to
-        the smaller index.
+        Argmax of cosine similarity against the base table rows, as one
+        M x T0 matrix product; ties go to the smaller index.
         """
         if duration <= 0:
             raise TimestampRangeError(f"duration must be positive, got {duration}")
-        p = np.asarray(pred, dtype=np.float64).reshape(-1)
-        norm = np.linalg.norm(p)
-        if norm < 1e-12:
-            raise DegenerateVectorError("decode_timestamp: zero-norm prediction")
-        p = p / norm
+        p = np.asarray(preds, dtype=np.float64)
+        norms = np.linalg.norm(p, axis=1, keepdims=True)
+        if np.any(norms < 1e-12):
+            raise DegenerateVectorError("decode_timestamps: zero-norm prediction")
         rows = self.table.data
-        row_norms = np.linalg.norm(rows, axis=1)
-        row_norms = np.maximum(row_norms, 1e-12)
-        sims = (rows @ p) / row_norms
-        idx = int(np.argmax(sims))  # argmax returns the first maximal index
+        row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
+        sims = ((p / norms) @ rows.T) / row_norms
+        idx = np.argmax(sims, axis=1)  # argmax returns the first maximal index
         return (idx / (self.rows - 1)) * duration
+
+    def decode_timestamp(self, pred: np.ndarray, duration: float) -> float:
+        """Map one predicted embedding back to seconds; see decode_timestamps."""
+        return float(self.decode_timestamps(np.reshape(pred, (1, -1)), duration)[0])

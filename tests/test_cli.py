@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 
 from momentset import checkpoint as ckpt
 from momentset import cli
+from momentset import tensor as tt
 from momentset.config import RunConfig
-from momentset.errors import CheckpointError, ConfigError
+from momentset.errors import CheckpointError, ConfigError, MomentSetError
 
 
 def tiny_run_config(**kw):
@@ -48,8 +50,12 @@ class TestConfig:
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ConfigError, match="even"):
             tiny_run_config(model_dim=7, heads=1, head_dim=7).validate()
-        with pytest.raises(ConfigError, match="queries"):
-            tiny_run_config(queries=1, moments_per_video=3).validate()
+        with pytest.raises(ConfigError, match="heads"):
+            tiny_run_config(heads=3).validate()
+
+    def test_queries_need_only_fit_one_chunk(self):
+        # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
+        RunConfig(duration=600, moments_per_video=24).validate()
 
 
 class TestGenerate:
@@ -138,6 +144,67 @@ class TestTrain:
                          cli.build_model(other),
                          cli.build_optimizer(other, cli.build_model(other)))
 
+    def test_restore_ignores_runtime_fields(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        path = tmp_path / "r.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        for change in ({"epochs": 9}, {"workers": 2}, {"nlq_topk": [1]},
+                       {"iou_thresholds": [0.7]}, {"seed": 11, "videos": 5}):
+            other = tiny_run_config(**change)
+            model2 = cli.build_model(other)
+            ckpt.restore(ckpt.load_checkpoint(path), other, model2,
+                         cli.build_optimizer(other, model2))
+
+    def test_restore_missing_moments_changes_nothing(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        path = tmp_path / "m.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        for key in ("opt.m.queries", "opt.v.queries"):
+            data = ckpt.load_checkpoint(path)
+            del data.tensors[key]
+            target = cli.build_model(cfg)
+            for p in target.params.values():
+                p.data = p.data + 1.0
+            before = {k: p.data.copy() for k, p in target.params.items()}
+            with pytest.raises(CheckpointError, match=key):
+                ckpt.restore(data, cfg, target, cli.build_optimizer(cfg, target))
+            for k, p in target.params.items():
+                np.testing.assert_array_equal(p.data, before[k])
+
+    def test_truncated_checkpoint_sweep(self, tmp_path):
+        cfg = tiny_run_config(feature_dim=2, model_dim=2, heads=1, head_dim=2,
+                              queries=2, temporal_rows=2, ffn_hidden=2,
+                              conv_kernel=1, enc_layers=0, dec_layers=0)
+        model = cli.build_model(cfg)
+        path = tmp_path / "full.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        blob = path.read_bytes()
+        cut_path = tmp_path / "cut.malc"
+        for cut in range(len(blob)):
+            cut_path.write_bytes(blob[:cut])
+            with pytest.raises(MomentSetError):
+                ckpt.load_checkpoint(cut_path)
+        assert set(ckpt.load_checkpoint(path).tensors) >= set(model.params)
+
+    def test_unreadable_config_block(self, tmp_path):
+        path = tmp_path / "bad.malc"
+        for cfg_bytes, match in ((b"{", "unreadable"), (b"\xff", "unreadable"),
+                                 (b"[]", "JSON object")):
+            path.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
+                             + cfg_bytes + struct.pack("<QQI", 0, 0, 0))
+            with pytest.raises(CheckpointError, match=match):
+                ckpt.load_checkpoint(path)
+
+    def test_chunk_with_more_narrations_than_queries(self, tmp_path):
+        # one 12-s chunk holds both moments of each video
+        cfg = tiny_run_config(videos=1, chunk_seconds=12.0, queries=1)
+        cfg.validate()
+        cli.cmd_generate(cfg, tmp_path / "data")
+        with pytest.raises(ConfigError, match="queries"):
+            cli.cmd_train(cfg, tmp_path / "data", tmp_path / "run")
+
     def test_resume_replays_uninterrupted_run(self, dataset, tmp_path):
         cfg, data = dataset
         full_cfg = tiny_run_config(epochs=4)
@@ -194,6 +261,15 @@ class TestEval:
         b = cli.cmd_eval(cfg, data, tmp_path / "b", "nlq", checkpoint_path=trained)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_eval_leaves_autograd_on_and_tape_empty(self, dataset, trained, tmp_path):
+        _, data = dataset
+        cfg = tiny_run_config(workers=2)
+        tt.clear_tape()  # nodes left by earlier tests are not eval's
+        for task in ("recognition", "nlq"):
+            cli.cmd_eval(cfg, data, tmp_path / task, task, checkpoint_path=trained)
+            assert tt._GRAD_ENABLED is True
+            assert tt.tape_size() == 0
+
     def test_unknown_task_rejected(self, dataset, tmp_path):
         cfg, data = dataset
         with pytest.raises(ConfigError, match="task"):
@@ -216,6 +292,16 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: config:")
+
+    def test_eval_workers_flag_on_trained_checkpoint(self, dataset, trained,
+                                                     tmp_path, capsys):
+        cfg, data = dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        rc = cli.main(["eval", "--config", str(cfg_path), "--workers", "2",
+                       "--data", str(data), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(trained), "--task", "nlq"])
+        assert rc == 0, capsys.readouterr().err
 
     def test_missing_dataset_dir(self, tmp_path, capsys):
         rc = cli.main(["eval", "--data", str(tmp_path / "nope"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momentset import evaluate
+from momentset import cli, evaluate
 from momentset.model import MomentPrediction
 from momentset.temporal import TemporalTable
 from momentset.tensor import Tensor
@@ -130,9 +130,37 @@ class TestNlqInfer:
         visual = np.eye(2, 6)
         pred = pred_from(visual, te_start / np.linalg.norm(te_start, axis=1, keepdims=True),
                          te_end / np.linalg.norm(te_end, axis=1, keepdims=True))
-        out = evaluate.nlq_infer(pred, visual[0], table, 40.0, k=2)
-        assert out[0] == (10.0, 30.0)
-        assert out[1] == (0.0, 40.0)
+        spans = cli.decode_video_spans(table, [pred], [40.0], 40.0)
+        cands = cli.nlq_video_candidates(visual, spans, visual[0])
+        assert [(s, e) for _, s, e in cands] == [(10.0, 30.0), (0.0, 40.0)]
+
+    def test_candidates_match_per_chunk_loop(self):
+        """The batched path keeps the order and spans of decoding every slot
+        per query, chunk by chunk, then one stable sort on similarity."""
+        rng = np.random.default_rng(9)
+        table = TemporalTable.init_sinusoidal(10, 6)
+        chunk_seconds, durations = 20.0, [20.0, 20.0, 20.0, 7.5]
+        basis = unit_rows(rng, 3, 6)  # few distinct visual rows: tied scores
+        preds = [pred_from(basis[rng.integers(0, 3, 5)],
+                           rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
+                 for _ in durations]
+        visual = np.vstack([p.visual.data for p in preds])
+        spans = cli.decode_video_spans(table, preds, durations, chunk_seconds)
+        for q in [basis[0], basis[2], unit_rows(rng, 1, 6)[0]]:
+            expect = []
+            for k, (pred, duration) in enumerate(zip(preds, durations)):
+                order, sims = evaluate.rank_queries(pred, q)
+                for i in order:
+                    s = table.decode_timestamp(pred.te_start.data[i], duration)
+                    e = table.decode_timestamp(pred.te_end.data[i], duration)
+                    if s > e:
+                        s, e = e, s
+                    expect.append((float(sims[i]), k * chunk_seconds + s,
+                                   k * chunk_seconds + e))
+            expect.sort(key=lambda c: -c[0])
+            got = cli.nlq_video_candidates(visual, spans, q)
+            assert len({c[0] for c in got}) < len(got)  # the ties are there
+            assert got == expect
 
 
 class TestIouRecall:

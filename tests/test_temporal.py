@@ -140,3 +140,62 @@ class TestTimestampCodec:
     def test_decode_ties_prefer_smaller_index(self):
         table = TemporalTable(tt.Tensor(np.ones((4, 4)), requires_grad=True))
         assert table.decode_timestamp(np.ones(4), 30.0) == 0.0
+
+
+def first_argmax_decode(table, preds, duration):
+    """Row-by-row reference: cosine against every table row, first maximum."""
+    rows = table.table.data
+    out = []
+    for p in preds:
+        sims = [float(p @ r) / (np.linalg.norm(p) * max(np.linalg.norm(r), 1e-12))
+                for r in rows]
+        best = 0
+        for i, s in enumerate(sims):
+            if s > sims[best]:
+                best = i
+        out.append(best / (len(rows) - 1) * duration)
+    return out
+
+
+class TestDecodeTimestamps:
+    def test_matches_row_by_row_reference(self):
+        rng = np.random.default_rng(2)
+        table = TemporalTable.init_sinusoidal(16, 8)
+        preds = rng.standard_normal((40, 8)) * rng.uniform(0.1, 10.0, (40, 1))
+        got = table.decode_timestamps(preds, 75.0)
+        assert got.shape == (40,)
+        np.testing.assert_array_equal(got, first_argmax_decode(table, preds, 75.0))
+
+    def test_single_decode_is_the_batched_decode(self):
+        rng = np.random.default_rng(3)
+        table = TemporalTable.init_sinusoidal(12, 6)
+        preds = rng.standard_normal((10, 6))
+        batched = table.decode_timestamps(preds, 30.0)
+        assert [table.decode_timestamp(p, 30.0) for p in preds] == batched.tolist()
+
+    def test_duplicate_rows_tie_to_first_index(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((9, 6))
+        data[5] = data[2]
+        data[7] = data[2]
+        table = TemporalTable(tt.Tensor(data, requires_grad=True))
+        preds = np.vstack([data[7], 3.0 * data[5], data[2],
+                           rng.standard_normal((5, 6))])
+        got = table.decode_timestamps(preds, 16.0)
+        assert got[:3].tolist() == [4.0, 4.0, 4.0]  # row 2 of 9 over 16 s
+        np.testing.assert_array_equal(got, first_argmax_decode(table, preds, 16.0))
+
+    def test_any_zero_row_is_degenerate(self):
+        rng = np.random.default_rng(5)
+        table = TemporalTable.init_sinusoidal(6, 4)
+        for i in range(4):
+            preds = rng.standard_normal((4, 4))
+            preds[i] = 0.0
+            with pytest.raises(DegenerateVectorError):
+                table.decode_timestamps(preds, 10.0)
+
+    def test_non_positive_duration(self):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        for duration in (0.0, -1.0):
+            with pytest.raises(TimestampRangeError):
+                table.decode_timestamps(np.ones((2, 4)), duration)
