@@ -10,9 +10,11 @@ Model parameters are stored under their own names, Adam moments under
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -49,17 +51,26 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
         tensors[f"opt.m.{k}"] = optimizer.m[k]
         tensors[f"opt.v.{k}"] = optimizer.v[k]
     cfg_bytes = config.to_json().encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
-        f.write(cfg_bytes)
-        f.write(struct.pack("<QQI", epochs_done, optimizer.step_count, len(tensors)))
-        for name, arr in tensors.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    # write a temp file beside the target and rename it into place, so a
+    # failed save leaves the previous checkpoint as it was
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
+            f.write(cfg_bytes)
+            f.write(struct.pack("<QQI", epochs_done, optimizer.step_count, len(tensors)))
+            for name, arr in tensors.items():
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<I", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _unpack(fmt: str, blob: bytes, off: int, path, what: str):

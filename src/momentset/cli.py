@@ -189,7 +189,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 
 def _video_prediction_chunks(model, chunks):
     with tt.no_grad():
-        return [model.forward(c.features) for c in chunks]
+        return model.forward_chunks([c.features for c in chunks])
 
 
 def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,

@@ -1,150 +1,24 @@
-"""Hot scalar-loop kernels: rectangular assignment and row interpolation.
+"""Row interpolation of the temporal table and its adjoint, in numpy.
 
-Both have a numba-jitted path and a pure-numpy path. Set MOMENTSET_NUMBA=0
-to force the numpy fallback (also used automatically when numba is not
-importable). The BLAS-bound ops elsewhere stay plain numpy; only the
-genuinely loopy kernels live here.
+``interp_rows`` gathers two table rows per output row and blends them;
+``interp_rows_grad`` scatter-adds the output gradient back onto the table.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("MOMENTSET_NUMBA", "1").strip().lower()
-USE_NUMBA = _FLAG not in ("0", "false", "no", "off")
 
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dep
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def dec(f):
-            return f
-
-        return dec
-
-
-def _assign_rect_impl(cost):
-    """Min-cost injective assignment of each row of ``cost`` to a column.
-
-    Shortest-augmenting-path method with potentials, O(M*N^2) for an
-    M x N matrix with M <= N. Ties are resolved by scanning columns in
-    ascending order with a strict '<', which yields the lexicographically
-    first assignment on fully degenerate inputs.
-    """
-    m, n = cost.shape
-    inf = np.inf
-    u = np.zeros(m + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, np.int64)  # match[j]: 1-based row held by col j
-    way = np.zeros(n + 1, np.int64)
-    for i in range(1, m + 1):
-        match[0] = i
-        j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, np.bool_)
-        while True:
-            used[j0] = True
-            i0 = match[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            match[j0] = match[j1]
-            j0 = j1
-    assign = np.full(m, -1, np.int64)
-    for j in range(1, n + 1):
-        if match[j] != 0:
-            assign[match[j] - 1] = j - 1
-    return assign
-
-
-def _interp_rows_impl(table, lo, hi, frac):
+def interp_rows(table, lo, hi, frac):
     """out[k] = (1-frac[k]) * table[lo[k]] + frac[k] * table[hi[k]]."""
-    length = lo.shape[0]
-    d = table.shape[1]
-    out = np.empty((length, d))
-    for k in range(length):
-        a = 1.0 - frac[k]
-        b = frac[k]
-        for c in range(d):
-            out[k, c] = a * table[lo[k], c] + b * table[hi[k], c]
-    return out
-
-
-def _interp_rows_grad_impl(grad_out, lo, hi, frac, rows):
-    """Scatter-add adjoint of _interp_rows_impl back onto the table."""
-    length, d = grad_out.shape
-    grad_table = np.zeros((rows, d))
-    for k in range(length):
-        a = 1.0 - frac[k]
-        b = frac[k]
-        for c in range(d):
-            g = grad_out[k, c]
-            grad_table[lo[k], c] += a * g
-            grad_table[hi[k], c] += b * g
-    return grad_table
-
-
-# Pure-numpy counterparts (vectorized where the loop would be slow in CPython).
-def assign_rect_numpy(cost):
-    return _assign_rect_impl(np.asarray(cost, dtype=np.float64))
-
-
-def interp_rows_numpy(table, lo, hi, frac):
     w = frac[:, None]
     return (1.0 - w) * table[lo] + w * table[hi]
 
 
-def interp_rows_grad_numpy(grad_out, lo, hi, frac, rows):
+def interp_rows_grad(grad_out, lo, hi, frac, rows):
+    """Adjoint of interp_rows: a rows x d table gradient; duplicate indices
+    accumulate."""
     grad_table = np.zeros((rows, grad_out.shape[1]))
     w = frac[:, None]
     np.add.at(grad_table, lo, (1.0 - w) * grad_out)
     np.add.at(grad_table, hi, w * grad_out)
     return grad_table
-
-
-if USE_NUMBA:
-    _assign_rect_jit = njit(cache=True)(_assign_rect_impl)
-    _interp_rows_jit = njit(cache=True)(_interp_rows_impl)
-    _interp_rows_grad_jit = njit(cache=True)(_interp_rows_grad_impl)
-
-    def assign_rect(cost):
-        return _assign_rect_jit(np.ascontiguousarray(cost, dtype=np.float64))
-
-    def interp_rows(table, lo, hi, frac):
-        return _interp_rows_jit(np.ascontiguousarray(table), lo, hi, frac)
-
-    def interp_rows_grad(grad_out, lo, hi, frac, rows):
-        return _interp_rows_grad_jit(
-            np.ascontiguousarray(grad_out), lo, hi, frac, rows
-        )
-else:
-    assign_rect = assign_rect_numpy
-    interp_rows = interp_rows_numpy
-    interp_rows_grad = interp_rows_grad_numpy

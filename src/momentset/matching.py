@@ -11,12 +11,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.special import expit
 
 from . import tensor as tt
 from .datagen import ConceptVocabulary, MomentSample, VideoRecord, sample_interval
-from .errors import CapacityError, ContractError
-from .kernels import assign_rect
+from .errors import CapacityError, ContractError, DomainError
 from .model import MomentPrediction, MomentSetModel
 from .tensor import Tensor
 
@@ -77,7 +77,10 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     n, m = cost.shape
     if n < m:
         raise CapacityError(f"{m} ground-truth moments but only {n} queries")
-    return assign_rect(np.ascontiguousarray(cost.T))
+    if not np.all(np.isfinite(cost)):
+        raise DomainError("assignment cost has a non-finite entry")
+    _, assignment = linear_sum_assignment(cost.T)
+    return assignment
 
 
 def match(pred: MomentPrediction, gt: GroundTruthSet) -> MatchResult:
@@ -132,7 +135,15 @@ def chunk_loss(model: MomentSetModel, vocab: ConceptVocabulary,
     Pass a fixed ``assignment`` to evaluate the loss as a smooth function of
     the parameters (used by gradient checks).
     """
-    pred = model.forward(chunk.features)
+    return prediction_loss(model, vocab, chunk, samples,
+                           model.forward(chunk.features), assignment)
+
+
+def prediction_loss(model: MomentSetModel, vocab: ConceptVocabulary,
+                    chunk: VideoRecord, samples: list[MomentSample],
+                    pred: MomentPrediction,
+                    assignment: np.ndarray | None = None):
+    """Match + loss for one chunk's prediction; see ``chunk_loss``."""
     gt = chunk_ground_truth(model, vocab, chunk, samples)
     sims = similarity_matrices(pred, gt)
     if assignment is None:
@@ -171,27 +182,32 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
                rng: np.random.Generator,
                fixed_samples: dict[str, list[MomentSample]] | None = None
                ) -> StepStats:
-    """One optimizer step on a batch of chunks (mean of per-chunk losses)."""
-    total = None
-    used = 0
-    matched_all, unmatched_all = [], []
+    """One optimizer step on a batch of chunks (mean of per-chunk losses).
+
+    The chunks' forwards run as one stacked pass (``forward_chunks``);
+    interval samples are drawn in chunk order before it.
+    """
+    used, samples = [], []
     for chunk in chunks:
         if not chunk.narrations:
             log.warning("chunk %s has no narrations, skipped", chunk.video_id)
             continue
-        if fixed_samples is not None:
-            samples = fixed_samples[chunk.video_id]
-        else:
-            samples = sample_chunk_intervals(chunk, rng)
-        loss, sims, assignment = chunk_loss(model, vocab, chunk, samples)
+        used.append(chunk)
+        samples.append(fixed_samples[chunk.video_id] if fixed_samples is not None
+                       else sample_chunk_intervals(chunk, rng))
+    if not used:
+        raise CapacityError("batch contained no chunk with narrations")
+    preds = model.forward_chunks([c.features for c in used])
+    total = None
+    matched_all, unmatched_all = [], []
+    for chunk, chunk_samples, pred in zip(used, samples, preds):
+        loss, sims, assignment = prediction_loss(
+            model, vocab, chunk, chunk_samples, pred)
         mm, um = _sim_means(sims, assignment)
         matched_all.append(mm)
         unmatched_all.append(um)
         total = loss if total is None else total + loss
-        used += 1
-    if total is None:
-        raise CapacityError("batch contained no chunk with narrations")
-    mean_loss = tt.scale(total, 1.0 / used)
+    mean_loss = tt.scale(total, 1.0 / len(used))
     optimizer.zero_grad()
     tt.backward(mean_loss)
     optimizer.step()

@@ -4,6 +4,10 @@ transformer encoder, moment-query decoder, and projection heads.
 Pre-norm blocks with GELU FFNs throughout. With zero layers configured the
 encoder reduces to token+TE addition and the decoder to the raw queries,
 which the tests rely on.
+
+Every stage takes one chunk (T x C frames) or a stack of equal-length
+chunks (B x T x C); ``forward_chunks`` stacks chunks by length so a whole
+batch runs as one pass over one tape.
 """
 from __future__ import annotations
 
@@ -60,7 +64,8 @@ class ModelConfig:
 
 @dataclass
 class MomentPrediction:
-    """The predicted moment set: unit-row visual and start/end TE matrices."""
+    """The predicted moment set: unit-row visual and start/end TE matrices
+    (with a leading B axis when the forward was stacked)."""
     visual: Tensor       # N x C
     te_start: Tensor     # N x d
     te_end: Tensor       # N x d
@@ -88,6 +93,21 @@ def _layernorm(params, name, x: Tensor) -> Tensor:
 
 def _ffn(params, name, x: Tensor) -> Tensor:
     return _linear(params, f"{name}.fc2", tt.gelu(_linear(params, f"{name}.fc1", x)))
+
+
+def _split_heads(x: Tensor, heads: int, order=(1, 0, 2)) -> Tensor:
+    """Reshape ... x L x d to ... x L x H x d/H and permute the last three
+    axes by ``order``: (1, 0, 2) gives ... x H x L x d/H, and (1, 2, 0)
+    gives the transposed keys, ... x H x d/H x L."""
+    *lead, length, d = x.data.shape
+    n = len(lead)
+    h = tt.reshape(x, (*lead, length, heads, d // heads))
+    return tt.transpose(h, (*range(n), *(n + i for i in order)))
+
+
+def _stack_row(t: Tensor, b: int) -> Tensor:
+    """Row ``b`` of a stacked B x ... tensor, without the B axis."""
+    return tt.reshape(tt.narrow(t, 0, b, 1), t.data.shape[1:])
 
 
 class MomentSetModel:
@@ -142,36 +162,34 @@ class MomentSetModel:
     def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor) -> Tensor:
         p = self.params
         c = self.config
-        q = _linear(p, f"{prefix}.wq", q_in)
-        k = _linear(p, f"{prefix}.wk", kv_in)
-        v = _linear(p, f"{prefix}.wv", kv_in)
+        # all heads as one ... x H x Lq x Lk block
+        q = _split_heads(_linear(p, f"{prefix}.wq", q_in), c.heads)
+        k_t = _split_heads(_linear(p, f"{prefix}.wk", kv_in), c.heads, (1, 2, 0))
+        v = _split_heads(_linear(p, f"{prefix}.wv", kv_in), c.heads)
         inv = 1.0 / math.sqrt(c.head_dim)
-        outs = []
-        for h in range(c.heads):
-            lo = h * c.head_dim
-            qh = tt.narrow(q, 1, lo, c.head_dim)
-            kh = tt.narrow(k, 1, lo, c.head_dim)
-            vh = tt.narrow(v, 1, lo, c.head_dim)
-            att = tt.softmax(tt.scale(tt.matmul(qh, tt.transpose(kh)), inv))
-            outs.append(tt.matmul(att, vh))
-        return _linear(p, f"{prefix}.wo", tt.cat(outs, axis=1))
+        att = tt.softmax(tt.scale(tt.matmul(q, k_t), inv))
+        o = tt.matmul(att, v)
+        n = o.data.ndim - 3
+        o = tt.transpose(o, (*range(n), n + 1, n, n + 2))  # ... x Lq x H x d/H
+        return _linear(p, f"{prefix}.wo",
+                       tt.reshape(o, (*o.data.shape[:-2], c.model_dim)))
 
     def tokenize(self, features: np.ndarray) -> Tensor:
-        """Non-overlap 1D conv: T frames -> floor(T/kernel) tokens."""
+        """Non-overlap 1D conv: ... x T frames -> ... x floor(T/kernel) tokens."""
         c = self.config
         features = np.asarray(features, dtype=np.float64)
-        T = features.shape[0]
+        T = features.shape[-2]
         if T < c.conv_kernel:
             raise InputTooShortError(
                 f"{T} frames < conv kernel {c.conv_kernel}")
         n_tok = T // c.conv_kernel
-        windows = features[: n_tok * c.conv_kernel].reshape(
-            n_tok, c.conv_kernel * c.feature_dim)
+        windows = features[..., : n_tok * c.conv_kernel, :].reshape(
+            *features.shape[:-2], n_tok, c.conv_kernel * c.feature_dim)
         return _linear(self.params, "conv", Tensor(windows))
 
     def encode(self, tokens: Tensor) -> Tensor:
         p = self.params
-        x = tokens + self.temporal.interpolate(tokens.data.shape[0])
+        x = tokens + self.temporal.interpolate(tokens.data.shape[-2])
         for i in range(self.config.enc_layers):
             pre = f"enc.{i}"
             h = _layernorm(p, f"{pre}.ln1", x)
@@ -181,7 +199,9 @@ class MomentSetModel:
 
     def decode(self, memory: Tensor) -> Tensor:
         p = self.params
-        x = p["queries"]
+        queries = p["queries"]
+        # one copy of the queries per stacked chunk, even with zero layers
+        x = queries + Tensor(np.zeros((*memory.data.shape[:-2], *queries.data.shape)))
         for i in range(self.config.dec_layers):
             pre = f"dec.{i}"
             h = _layernorm(p, f"{pre}.ln1", x)
@@ -196,9 +216,29 @@ class MomentSetModel:
         d = self.config.model_dim
         visual = tt.l2_normalize(_ffn(p, "head.visual", decoded))
         te = _ffn(p, "head.temporal", decoded)
-        te_start = tt.l2_normalize(tt.narrow(te, 1, 0, d))
-        te_end = tt.l2_normalize(tt.narrow(te, 1, d, d))
+        te_start = tt.l2_normalize(tt.narrow(te, -1, 0, d))
+        te_end = tt.l2_normalize(tt.narrow(te, -1, d, d))
         return MomentPrediction(visual, te_start, te_end)
 
     def forward(self, features: np.ndarray) -> MomentPrediction:
+        """T x C frames -> N-row predictions; B x T x C -> B x N rows."""
         return self.project(self.decode(self.encode(self.tokenize(features))))
+
+    def forward_chunks(self, features_list) -> list[MomentPrediction]:
+        """One prediction per chunk, in input order.
+
+        Chunks with the same frame count run as one stacked forward. Chunks
+        are grouped rather than padded, because each chunk's temporal
+        embeddings are interpolated to its own token count.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, features in enumerate(features_list):
+            groups.setdefault(len(features), []).append(i)
+        preds: list[MomentPrediction | None] = [None] * len(features_list)
+        for idx in groups.values():
+            stacked = self.forward(np.stack([features_list[i] for i in idx]))
+            for b, i in enumerate(idx):
+                preds[i] = MomentPrediction(
+                    _stack_row(stacked.visual, b), _stack_row(stacked.te_start, b),
+                    _stack_row(stacked.te_end, b))
+        return preds

@@ -30,18 +30,21 @@ class Adam:
             p.grad = None
 
     def step(self):
-        self.step_count += 1
-        t = self.step_count
+        """One update. Every gradient is checked first, so a non-finite one
+        raises OptimizerError with no parameter, moment or count changed."""
+        t = self.step_count + 1
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise OptimizerError(
+                    f"non-finite gradient in parameter '{name}' at step {t}"
+                )
+        self.step_count = t
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise OptimizerError(
-                    f"non-finite gradient in parameter '{name}' at step {t}"
-                )
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1

@@ -138,14 +138,22 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def backward(loss: Tensor):
-    """Populate .grad of every reachable requires_grad tensor."""
+    """Populate .grad of every reachable requires_grad leaf (a tensor no op
+    produced, such as a parameter).
+
+    An op output's gradient is complete once the sweep reaches its node,
+    because every consumer sits later on the tape; it is dropped there so
+    that intermediate gradients do not pile up.
+    """
     if loss.data.size != 1:
         raise RankError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(_TAPE):
-        if node.out.grad is None:
+        g_out = node.out.grad
+        if g_out is None:
             continue
-        grads = node.backward_fn(node.out.grad)
+        node.out.grad = None
+        grads = node.backward_fn(g_out)
         for t, g in zip(node.inputs, grads):
             if g is not None:
                 _accumulate(t, g)
@@ -181,13 +189,45 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * c,))
 
 
+def _fold_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a 2-D ``w`` as one BLAS call: x's leading axes are
+    folded into rows (numpy's ``@`` would loop over them)."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Matrix product over the last two axes; leading axes broadcast as in
+    numpy's ``@``."""
+    if (a.data.ndim < 2 or b.data.ndim < 2
+            or a.data.shape[-1] != b.data.shape[-2]):
         raise ShapeError(
             f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data)
-    return _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    shared = b.data.ndim == 2  # one weight for every leading index of a
+    if shared:
+        out = Tensor(_fold_matmul(a.data, b.data))
+    else:
+        try:
+            out = Tensor(a.data @ b.data)
+        except ValueError as e:  # leading axes that do not broadcast
+            raise ShapeError(
+                f"matmul: incompatible leading axes {a.data.shape} x {b.data.shape}"
+            ) from e
+
+    def bwd(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = (_fold_matmul(g, b.data.T) if shared else _unbroadcast(
+                g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            if shared:
+                k = a.data.shape[-1]
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
+
+    return _record(out, (a, b), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -237,9 +277,11 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T)
-    return _record(out, (a,), lambda g: (g.T,))
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes as ``np.transpose``; the default reverses them (``.T``)."""
+    out = Tensor(np.transpose(a.data, axes))
+    inverse = None if axes is None else np.argsort(axes)
+    return _record(out, (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

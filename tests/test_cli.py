@@ -173,6 +173,27 @@ class TestTrain:
             for k, p in target.params.items():
                 np.testing.assert_array_equal(p.data, before[k])
 
+    def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        opt = cli.build_optimizer(cfg, model)
+        path = tmp_path / "k.malc"
+        ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=1)
+        good = path.read_bytes()
+
+        class FailingArray:
+            """Fails when its payload is written, after earlier tensors."""
+            ndim, shape = 1, (1,)
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        opt.v[next(reversed(model.params))] = FailingArray()
+        with pytest.raises(OSError, match="no space"):
+            ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=2)
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["k.malc"]
+
     def test_truncated_checkpoint_sweep(self, tmp_path):
         cfg = tiny_run_config(feature_dim=2, model_dim=2, heads=1, head_dim=2,
                               queries=2, temporal_rows=2, ffn_hidden=2,

@@ -9,7 +9,7 @@ from helpers import finite_diff_check
 from momentset import matching
 from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, MomentSample, generate_video
-from momentset.errors import CapacityError, ContractError
+from momentset.errors import CapacityError, ContractError, DomainError
 from momentset.matching import GroundTruthSet, LossScales
 from momentset.model import ModelConfig, MomentPrediction, MomentSetModel
 from momentset.tensor import Tensor
@@ -129,6 +129,14 @@ class TestHungarian:
             assert got == pytest.approx(best, abs=1e-10)
 
 
+def test_hungarian_rejects_non_finite_cost():
+    for bad in (np.nan, np.inf):
+        cost = np.zeros((3, 2))
+        cost[1, 0] = bad
+        with pytest.raises(DomainError):
+            matching.hungarian(cost)
+
+
 class TestLoss:
     def scales(self, t=1.0, b=0.0):
         return LossScales(Tensor(np.array(math.log(t)), requires_grad=True),
@@ -229,6 +237,43 @@ class TestTrainStep:
             stats = matching.train_step(model, vocab, [chunk], opt, rng,
                                         fixed_samples=fixed)
         assert stats.loss < first
+
+    def test_batch_equals_mean_of_chunk_losses(self):
+        vocab = ConceptVocabulary.generate(5, 6, np.random.default_rng(0))
+        chunks = [generate_video(vocab, 3, duration, 2, 0.1, rng_seed=s,
+                                 video_id=f"v{s}")
+                  for s, duration in enumerate((30.0, 20.0, 30.0, 24.0))]
+        config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
+                             enc_layers=1, dec_layers=1, heads=2, head_dim=4,
+                             queries=4, temporal_rows=8, ffn_hidden=16)
+        model = MomentSetModel(config, np.random.default_rng(2))
+
+        # per-chunk reference: samples drawn in chunk order from the same rng
+        rng = np.random.default_rng(7)
+        total = None
+        for chunk in chunks:
+            samples = matching.sample_chunk_intervals(chunk, rng)
+            loss = matching.chunk_loss(model, vocab, chunk, samples)[0]
+            total = loss if total is None else total + loss
+        mean = tt.scale(total, 1.0 / len(chunks))
+        tt.backward(mean)
+        expect = {k: p.grad.copy() for k, p in model.params.items()}
+        tt.clear_tape()
+
+        class RecordGrads:
+            def zero_grad(self):
+                for p in model.params.values():
+                    p.grad = None
+
+            def step(self):
+                self.grads = {k: p.grad.copy() for k, p in model.params.items()}
+
+        opt = RecordGrads()
+        stats = matching.train_step(model, vocab, chunks, opt,
+                                    np.random.default_rng(7))
+        assert stats.loss == pytest.approx(mean.item(), rel=1e-12)
+        for k, g in expect.items():
+            np.testing.assert_allclose(opt.grads[k], g, rtol=1e-9, atol=1e-12)
 
     def test_empty_chunks_skipped_and_all_empty_raises(self, caplog):
         from momentset.optim import Adam

@@ -110,6 +110,59 @@ class TestEncodeDecode:
         got = model._attention("enc.0.attn", Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(got, expect, atol=1e-10)
 
+    def test_fused_attention_matches_per_head_reference(self):
+        model = make(tiny_config(model_dim=8, heads=4, head_dim=2))
+        rng = np.random.default_rng(12)
+        q_in = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+        kv_in = Tensor(rng.standard_normal((5, 8)), requires_grad=True)
+        p = model.params
+        names = [f"enc.0.attn.{w}.w" for w in ("wq", "wk", "wv", "wo")]
+
+        def per_head():
+            def lin(w, x):
+                return tt.matmul(x, p[f"enc.0.attn.{w}.w"]) + p[f"enc.0.attn.{w}.b"]
+            q, k, v = lin("wq", q_in), lin("wk", kv_in), lin("wv", kv_in)
+            outs = []
+            for h in range(4):
+                qh, kh, vh = (tt.narrow(t, 1, 2 * h, 2) for t in (q, k, v))
+                att = tt.softmax(tt.scale(tt.matmul(qh, tt.transpose(kh)),
+                                          1.0 / np.sqrt(2)))
+                outs.append(tt.matmul(att, vh))
+            return lin("wo", tt.cat(outs, axis=1))
+
+        def run(build):
+            tt.clear_tape()
+            for t in (q_in, kv_in, *(p[n] for n in names)):
+                t.zero_grad()
+            out = build()
+            tt.backward(tt.tsum(tt.sigmoid(out)))
+            return out.data, [t.grad.copy() for t in (q_in, kv_in, *(p[n] for n in names))]
+
+        got, got_grads = run(lambda: model._attention("enc.0.attn", q_in, kv_in))
+        expect, expect_grads = run(per_head)
+        assert got.shape == (3, 8)
+        np.testing.assert_allclose(got, expect, atol=1e-12)
+        for g, e in zip(got_grads, expect_grads):
+            np.testing.assert_allclose(g, e, atol=1e-12)
+
+    def test_stacked_attention_matches_each_item(self):
+        model = make(tiny_config(model_dim=8, heads=4, head_dim=2))
+        rng = np.random.default_rng(13)
+        q_in = rng.standard_normal((2, 3, 8))
+        kv_in = rng.standard_normal((2, 5, 8))
+        got = model._attention("enc.0.attn", Tensor(q_in), Tensor(kv_in)).data
+        for b in range(2):
+            np.testing.assert_allclose(
+                got[b], model._attention("enc.0.attn", Tensor(q_in[b]),
+                                         Tensor(kv_in[b])).data, atol=1e-12)
+
+    def test_zero_layer_decoder_keeps_batch_axis(self):
+        model = make(tiny_config(dec_layers=0))
+        out = model.decode(Tensor(np.zeros((2, 4, 8)))).data
+        assert out.shape == (2, 3, 8)
+        for b in range(2):
+            np.testing.assert_array_equal(out[b], model.params["queries"].data)
+
     def test_constant_memory_gives_identical_cross_attention(self):
         model = make(tiny_config(dec_layers=1))
         memory = Tensor(np.tile(np.random.default_rng(5).standard_normal(8), (4, 1)))
@@ -170,6 +223,21 @@ class TestForward:
         a = model.forward(feats).visual.data
         b = model.forward(np.roll(feats, 4, axis=0)).visual.data
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("layers", [1, 0])
+    def test_forward_chunks_match_forward(self, layers):
+        model = make(tiny_config(enc_layers=layers, dec_layers=layers))
+        rng = np.random.default_rng(14)
+        chunks = [rng.standard_normal((t, 6)) for t in (12, 9, 12, 9, 12)]
+        preds = model.forward_chunks(chunks)
+        assert len(preds) == len(chunks)
+        for features, pred in zip(chunks, preds):
+            single = model.forward(features)
+            for got, expect in ((pred.visual, single.visual),
+                                (pred.te_start, single.te_start),
+                                (pred.te_end, single.te_end)):
+                assert got.data.shape == expect.data.shape
+                np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
 
     def test_end_to_end_gradient(self):
         model = make(tiny_config(enc_layers=1, dec_layers=1))

@@ -44,6 +44,29 @@ def test_nan_gradient_halts_with_diagnostics():
         opt.step()
 
 
+def test_nan_in_last_gradient_changes_nothing():
+    rng = np.random.default_rng(0)
+    params = {k: Tensor(rng.standard_normal(3), requires_grad=True)
+              for k in ("a", "b", "c")}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = rng.standard_normal(3)
+    opt.step()
+    before = ({k: p.data.copy() for k, p in params.items()},
+              {k: m.copy() for k, m in opt.m.items()},
+              {k: v.copy() for k, v in opt.v.items()})
+    for p in params.values():
+        p.grad = rng.standard_normal(3)
+    params["c"].grad[1] = np.nan
+    with pytest.raises(OptimizerError, match="'c' at step 2"):
+        opt.step()
+    assert opt.step_count == 1
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, before[0][k])
+        np.testing.assert_array_equal(opt.m[k], before[1][k])
+        np.testing.assert_array_equal(opt.v[k], before[2][k])
+
+
 def test_skips_params_without_grad():
     p = Tensor(np.array(1.0), requires_grad=True)
     q = Tensor(np.array(2.0), requires_grad=True)

@@ -41,6 +41,35 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             tt.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_batched_equals_per_matrix_products(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((5, 6))
+        b = rng.standard_normal((2, 3, 5, 2))
+        shared = tt.matmul(Tensor(a), Tensor(w)).data
+        batched = tt.matmul(Tensor(a), Tensor(b)).data
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(shared[i, j], a[i, j] @ w, atol=1e-12)
+                np.testing.assert_allclose(batched[i, j], a[i, j] @ b[i, j], atol=1e-12)
+
+    def test_leading_axes_that_do_not_broadcast(self):
+        with pytest.raises(ShapeError, match="leading"):
+            tt.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = np.random.default_rng(2)
+        const = Tensor(rng.standard_normal((2, 3, 4)))
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        out = tt.matmul(const, w)
+        g_const, g_w = tt._TAPE[-1].backward_fn(np.ones(out.data.shape))
+        assert g_const is None
+        np.testing.assert_allclose(
+            g_w, const.data.reshape(-1, 4).T @ np.ones((6, 5)), atol=1e-12)
+        tt.backward(tt.tsum(out))
+        assert const.grad is None
+        np.testing.assert_allclose(w.grad, g_w, atol=1e-12)
+
 
 class TestElementwise:
     def test_sigmoid_zero(self):
@@ -134,6 +163,14 @@ class TestBackward:
         tt.backward(y)
         assert x.grad == pytest.approx(5.0)
 
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = x * x
+        loss = tt.tsum(h * 3.0)
+        tt.backward(loss)
+        np.testing.assert_allclose(x.grad, [6.0, 12.0])
+        assert h.grad is None and loss.grad is None
+
 
 class TestFiniteDifferences:
     """Analytic vs central-difference gradients for every op."""
@@ -175,6 +212,24 @@ class TestFiniteDifferences:
             joined = tt.cat([a, tt.transpose(b)], axis=0)
             return tt.tmean(tt.narrow(joined, 1, 1, 2) * 1.5)
         self._check(build, (2, 4), (4, 3))
+
+    def test_batched_matmul_shared_weight(self):
+        self._check(lambda a, w: tt.tmean(tt.sigmoid(tt.matmul(a, w))),
+                    (2, 3, 4), (4, 5))
+
+    def test_batched_matmul_3d_by_3d(self):
+        self._check(lambda a, b: tt.tmean(tt.sigmoid(tt.matmul(a, b))),
+                    (2, 3, 4), (2, 4, 5))
+
+    def test_batched_matmul_broadcast_leading_axis(self):
+        self._check(lambda a, b: tt.tmean(tt.sigmoid(tt.matmul(a, b))),
+                    (3, 4), (2, 4, 5))
+
+    def test_transpose_axes(self):
+        rng = np.random.default_rng(3)
+        probe = Tensor(rng.standard_normal((4, 2, 3)))
+        self._check(lambda a: tt.tmean(tt.transpose(a, (2, 0, 1)) * probe),
+                    (2, 3, 4))
 
     def test_sum_axes(self):
         self._check(lambda a: tt.tmean(tt.sigmoid(tt.tsum(a, axis=0))), (3, 4))
