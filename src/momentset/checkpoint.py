@@ -29,11 +29,11 @@ MAGIC = b"MALC"
 VERSION = 1
 
 # RunConfig fields a checkpoint must share with the run that restores it:
-# the model and the optimizer schedule. The dataset, the epoch count and the
-# eval settings (workers included) may differ.
-IDENTITY_FIELDS = (*(f.name for f in dataclasses.fields(ModelConfig)),
-                   "lr", "beta1", "beta2", "epsilon", "batch_size",
-                   "freeze_intervals")
+# the model, and for a resumed run also the optimizer schedule. The dataset,
+# the epoch count and the eval settings (workers included) may differ.
+MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+IDENTITY_FIELDS = (*MODEL_FIELDS, "lr", "beta1", "beta2", "epsilon",
+                   "batch_size", "freeze_intervals")
 
 
 @dataclass
@@ -73,68 +73,77 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
         raise
 
 
-def _unpack(fmt: str, blob: bytes, off: int, path, what: str):
-    """struct.unpack_from after checking that the file holds all of fmt;
-    returns the values and the offset just past them."""
-    end = off + struct.calcsize(fmt)
-    if len(blob) < end:
+def _unpack(f, size: int, fmt: str, path, what: str):
+    """Read and unpack fmt from f after checking that the file holds all of it."""
+    n = struct.calcsize(fmt)
+    if size - f.tell() < n:
         raise TruncatedFileError(f"{path}: truncated {what}")
-    return struct.unpack_from(fmt, blob, off), end
+    return struct.unpack(fmt, f.read(n))
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read each tensor once, into its own array; every size is checked
+    against the rest of the file before any read or allocation."""
     with open(path, "rb") as f:
-        blob = f.read()
-    (magic, version, cfg_len), off = _unpack("<4sII", blob, 0, path, "header")
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
-    (cfg_bytes,), off = _unpack(f"<{cfg_len}s", blob, off, path, "config block")
-    try:
-        config = json.loads(cfg_bytes.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-        raise CheckpointError(f"{path}: unreadable config block ({e})") from e
-    if not isinstance(config, dict):
-        raise CheckpointError(f"{path}: config block is not a JSON object")
-    (epochs_done, step, count), off = _unpack("<QQI", blob, off, path, "counters")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,), off = _unpack("<I", blob, off, path, "tensor table")
-        (name_bytes,), off = _unpack(f"<{name_len}s", blob, off, path, "tensor table")
-        name = name_bytes.decode("utf-8", errors="replace")
-        (ndim,), off = _unpack("<I", blob, off, path, "tensor table")
-        shape, off = _unpack(f"<{ndim}I", blob, off, path, "tensor table")
-        size = math.prod(shape)
-        if len(blob) < off + size * 8:
-            raise TruncatedFileError(f"{path}: truncated payload for '{name}'")
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).copy()
-        tensors[name] = arr.reshape(shape)
-        off += size * 8
+        size = os.fstat(f.fileno()).st_size
+        magic, version, cfg_len = _unpack(f, size, "<4sII", path, "header")
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
+        (cfg_bytes,) = _unpack(f, size, f"<{cfg_len}s", path, "config block")
+        try:
+            config = json.loads(cfg_bytes.decode("utf-8"))
+        except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+            raise CheckpointError(f"{path}: unreadable config block ({e})") from e
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: config block is not a JSON object")
+        epochs_done, step, count = _unpack(f, size, "<QQI", path, "counters")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = _unpack(f, size, "<I", path, "tensor table")
+            (name_bytes,) = _unpack(f, size, f"<{name_len}s", path, "tensor table")
+            name = name_bytes.decode("utf-8", errors="replace")
+            (ndim,) = _unpack(f, size, "<I", path, "tensor table")
+            shape = _unpack(f, size, f"<{ndim}I", path, "tensor table")
+            if size - f.tell() < 8 * math.prod(shape):
+                raise TruncatedFileError(f"{path}: truncated payload for '{name}'")
+            try:
+                arr = np.empty(shape, dtype="<f8")
+            except ValueError as e:  # more axes than numpy supports
+                raise CheckpointError(f"{path}: bad shape for '{name}' ({e})") from e
+            if f.readinto(arr) != arr.nbytes:
+                raise TruncatedFileError(f"{path}: short read for '{name}'")
+            tensors[name] = arr
     return CheckpointData(config, epochs_done, step, tensors)
 
 
 def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
-            optimizer: Adam):
-    """Load checkpointed tensors into an existing model/optimizer pair.
+            optimizer: Adam | None = None):
+    """Load checkpointed tensors into an existing model, and into its
+    optimizer when one is given.
 
-    Only IDENTITY_FIELDS of the two configs must match. Every tensor is
-    checked before any is assigned, so a bad checkpoint changes nothing.
+    Takes ownership of ``data``'s arrays: the model and the optimizer hold
+    them afterwards, uncopied, so ``data`` must not be restored again. The
+    ModelConfig fields of the two configs must match, and with an optimizer
+    all of IDENTITY_FIELDS. Every tensor is checked before any is assigned,
+    so a bad checkpoint changes nothing.
     """
-    differ = [k for k in IDENTITY_FIELDS
-              if data.config.get(k) != getattr(config, k)]
+    fields = MODEL_FIELDS if optimizer is None else IDENTITY_FIELDS
+    differ = [k for k in fields if data.config.get(k) != getattr(config, k)]
     if differ:
         raise CheckpointError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
+    prefixes = ("",) if optimizer is None else ("", "opt.m.", "opt.v.")
     for name, p in model.params.items():
-        for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+        for key in (prefix + name for prefix in prefixes):
             if key not in data.tensors:
                 raise CheckpointError(f"checkpoint is missing tensor '{key}'")
             if data.tensors[key].shape != p.data.shape:
                 raise CheckpointError(f"shape mismatch for tensor '{key}'")
     for name, p in model.params.items():
-        p.data = data.tensors[name].copy()
-        optimizer.m[name] = data.tensors[f"opt.m.{name}"].copy()
-        optimizer.v[name] = data.tensors[f"opt.v.{name}"].copy()
-    optimizer.params = model.params
-    optimizer.step_count = data.step
+        p.data = data.tensors[name]
+    if optimizer is not None:
+        optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}
+        optimizer.v = {k: data.tensors[f"opt.v.{k}"] for k in model.params}
+        optimizer.step_count = data.step

@@ -17,7 +17,7 @@ from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig
-from .errors import CheckpointError, ConfigError, MomentSetError, OptimizerError
+from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
 from .model import MomentSetModel
 from .optim import Adam
 from .temporal import TemporalTable
@@ -84,11 +84,21 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     return out_dir / MANIFEST_NAME
 
 
+def _check_concepts(ids, vocab: datagen.ConceptVocabulary, path: Path):
+    bad = [c for c in ids if not (isinstance(c, int) and 0 <= c < vocab.size)]
+    if bad:
+        raise FeatureStoreError(
+            f"{path}: concept ids {bad} outside the vocabulary of {vocab.size}")
+
+
 def load_dataset(data_dir: Path):
-    """Returns (manifest, vocab, {video_id: [chunk records]})."""
+    """Returns (manifest, vocab, {video_id: [chunk records]}); raises
+    FeatureStoreError naming the file for a concept id outside the vocab
+    or a chunk whose feature width is not the vocab's."""
     data_dir = Path(data_dir)
+    manifest_path = data_dir / MANIFEST_NAME
     try:
-        with open(data_dir / MANIFEST_NAME) as f:
+        with open(manifest_path) as f:
             manifest = json.load(f)
     except OSError as e:
         raise ConfigError(
@@ -96,12 +106,19 @@ def load_dataset(data_dir: Path):
     vocab = datagen.ConceptVocabulary.load(data_dir / manifest["vocab"])
     videos: dict[str, list[datagen.VideoRecord]] = {}
     for vid, meta in manifest["videos"].items():
+        _check_concepts(meta["labels"] + [n["concept_id"] for n in meta["narrations"]],
+                        vocab, manifest_path)
         cs = meta["chunk_seconds"]
         chunks = []
         for k, rel in enumerate(meta["chunks"]):
             dur = min(cs, meta["duration"] - k * cs)
-            chunks.append(datagen.load(
-                data_dir / rel, f"{vid}_c{k}", dur, meta["fps"]))
+            chunk = datagen.load(data_dir / rel, f"{vid}_c{k}", dur, meta["fps"])
+            if chunk.features.shape[1] != vocab.dim:
+                raise FeatureStoreError(
+                    f"{data_dir / rel}: feature width {chunk.features.shape[1]}, "
+                    f"vocabulary width {vocab.dim}")
+            _check_concepts([n.concept_id for n in chunk.narrations], vocab, data_dir / rel)
+            chunks.append(chunk)
         videos[vid] = chunks
     return manifest, vocab, videos
 
@@ -293,9 +310,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
         videos = {v: videos[v] for v in video_ids}
     model = build_model(config)
     if checkpoint_path is not None:
-        data = ckpt.load_checkpoint(checkpoint_path)
-        optimizer = build_optimizer(config, model)
-        ckpt.restore(data, config, model, optimizer)
+        ckpt.restore(ckpt.load_checkpoint(checkpoint_path), config, model)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)
     else:

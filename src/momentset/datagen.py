@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    FeatureStoreError,
     GenerationError,
     TruncatedFileError,
     VersionMismatchError,
@@ -223,4 +224,7 @@ def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
         cid, t, a, b = struct.unpack_from("<Iddd", blob, off)
         off += 28
         narrations.append(Narration(cid, t, a, b))
+    if len(blob) != off:
+        raise FeatureStoreError(
+            f"{path}: {len(blob) - off} trailing bytes after the narration block")
     return VideoRecord(video_id, duration, fps, feats, narrations)

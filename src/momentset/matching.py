@@ -31,13 +31,6 @@ class GroundTruthSet:
 
 
 @dataclass
-class MatchResult:
-    assignment: np.ndarray            # assignment[j] = query index for gt j
-    sims: tuple[Tensor, Tensor, Tensor]
-    cost: np.ndarray
-
-
-@dataclass
 class LossScales:
     log_t: Tensor   # learnable, temperature stored as log
     b: Tensor       # learnable bias
@@ -81,12 +74,6 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
         raise DomainError("assignment cost has a non-finite entry")
     _, assignment = linear_sum_assignment(cost.T)
     return assignment
-
-
-def match(pred: MomentPrediction, gt: GroundTruthSet) -> MatchResult:
-    sims = similarity_matrices(pred, gt)
-    cost = build_cost(sims)
-    return MatchResult(hungarian(cost), sims, cost)
 
 
 def sigmoid_contrastive_loss(sims, assignment: np.ndarray,
@@ -185,7 +172,8 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
     """One optimizer step on a batch of chunks (mean of per-chunk losses).
 
     The chunks' forwards run as one stacked pass (``forward_chunks``);
-    interval samples are drawn in chunk order before it.
+    interval samples are drawn in chunk order before it. The tape is
+    cleared on every exit, a failed step included.
     """
     used, samples = [], []
     for chunk in chunks:
@@ -197,21 +185,23 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
                        else sample_chunk_intervals(chunk, rng))
     if not used:
         raise CapacityError("batch contained no chunk with narrations")
-    preds = model.forward_chunks([c.features for c in used])
-    total = None
-    matched_all, unmatched_all = [], []
-    for chunk, chunk_samples, pred in zip(used, samples, preds):
-        loss, sims, assignment = prediction_loss(
-            model, vocab, chunk, chunk_samples, pred)
-        mm, um = _sim_means(sims, assignment)
-        matched_all.append(mm)
-        unmatched_all.append(um)
-        total = loss if total is None else total + loss
-    mean_loss = tt.scale(total, 1.0 / len(used))
-    optimizer.zero_grad()
-    tt.backward(mean_loss)
-    optimizer.step()
-    tt.clear_tape()
+    try:
+        preds = model.forward_chunks([c.features for c in used])
+        total = None
+        matched_all, unmatched_all = [], []
+        for chunk, chunk_samples, pred in zip(used, samples, preds):
+            loss, sims, assignment = prediction_loss(
+                model, vocab, chunk, chunk_samples, pred)
+            mm, um = _sim_means(sims, assignment)
+            matched_all.append(mm)
+            unmatched_all.append(um)
+            total = loss if total is None else total + loss
+        mean_loss = tt.scale(total, 1.0 / len(used))
+        optimizer.zero_grad()
+        tt.backward(mean_loss)
+        optimizer.step()
+    finally:
+        tt.clear_tape()
     return StepStats(
         loss=mean_loss.item(),
         matched_sim_mean=float(np.mean(matched_all)),

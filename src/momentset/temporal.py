@@ -68,8 +68,6 @@ class TemporalTable:
 
     def interpolate(self, target_len: int) -> Tensor:
         """Resample the table to target_len rows (align-corners linear)."""
-        if target_len == self.rows:
-            return interp_table_rows(self.table, np.arange(self.rows, dtype=np.float64))
         if target_len == 1:
             coords = np.array([(self.rows - 1) / 2.0])
         else:

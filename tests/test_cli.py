@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import shutil
 import struct
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from momentset import checkpoint as ckpt
-from momentset import cli
+from momentset import cli, datagen
 from momentset import tensor as tt
 from momentset.config import RunConfig
-from momentset.errors import CheckpointError, ConfigError, MomentSetError
+from momentset.errors import CheckpointError, ConfigError, MomentSetError, TruncatedFileError
+from momentset.model import ModelConfig
 
 
 def tiny_run_config(**kw):
@@ -52,6 +54,16 @@ class TestConfig:
             tiny_run_config(model_dim=7, heads=1, head_dim=7).validate()
         with pytest.raises(ConfigError, match="heads"):
             tiny_run_config(heads=3).validate()
+
+    def test_flat_schema_and_model_fields(self):
+        assert sorted(RunConfig().to_dict()) == [
+            "batch_size", "beta1", "beta2", "chunk_seconds", "conv_kernel",
+            "dec_layers", "duration", "enc_layers", "epochs", "epsilon",
+            "feature_dim", "ffn_hidden", "fps", "freeze_intervals", "head_dim",
+            "heads", "iou_thresholds", "loss_bias_init", "lr", "model_dim",
+            "moments_per_video", "nlq_topk", "noise_level", "queries", "seed",
+            "temporal_rows", "videos", "vocab_size", "workers"]
+        assert RunConfig().model_config() == ModelConfig()
 
     def test_queries_need_only_fit_one_chunk(self):
         # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
@@ -155,6 +167,62 @@ class TestTrain:
             model2 = cli.build_model(other)
             ckpt.restore(ckpt.load_checkpoint(path), other, model2,
                          cli.build_optimizer(other, model2))
+
+    def test_restore_model_only_checks_model_fields(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        path = tmp_path / "e.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        other = tiny_run_config(lr=2e-3, beta1=0.8, beta2=0.99, epsilon=1e-6,
+                                batch_size=3, freeze_intervals=True)
+        data = ckpt.load_checkpoint(path)
+        for key in list(data.tensors):
+            if key.startswith("opt."):
+                del data.tensors[key]  # a model-only restore needs no moments
+        target = cli.build_model(other)
+        for p in target.params.values():
+            p.data = p.data + 1.0
+        ckpt.restore(data, other, target)
+        for k, p in model.params.items():
+            np.testing.assert_array_equal(target.params[k].data, p.data)
+        for change, field in (({"loss_bias_init": 0.0}, "loss_bias_init"),
+                              ({"queries": 5}, "queries")):
+            other = tiny_run_config(**change)
+            for optimizer in (None, cli.build_optimizer(other, cli.build_model(other))):
+                with pytest.raises(CheckpointError, match=field):
+                    ckpt.restore(ckpt.load_checkpoint(path), other,
+                                 cli.build_model(other), optimizer)
+
+    def test_loaded_tensors_are_handed_over(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        path = tmp_path / "h.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        data = ckpt.load_checkpoint(path)
+        arrays = list(data.tensors.values())
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        model2 = cli.build_model(cfg)
+        opt2 = cli.build_optimizer(cfg, model2)
+        ckpt.restore(data, cfg, model2, opt2)
+        for name, p in model2.params.items():
+            assert p.data is data.tensors[name]
+            assert opt2.m[name] is data.tensors[f"opt.m.{name}"]
+            assert opt2.v[name] is data.tensors[f"opt.v.{name}"]
+
+    def test_corrupt_tensor_shape_allocates_nothing(self, tmp_path):
+        path = tmp_path / "shape.malc"
+        for dims, error in (((2 ** 31, 2 ** 31), TruncatedFileError),
+                            ((1,) * 65, CheckpointError)):
+            path.write_bytes(
+                struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, 2) + b"{}"
+                + struct.pack("<QQI", 0, 0, 1) + struct.pack("<I", 1) + b"x"
+                + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(8))
+            with pytest.raises(error, match="'x'"):
+                ckpt.load_checkpoint(path)
 
     def test_restore_missing_moments_changes_nothing(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -291,6 +359,17 @@ class TestEval:
             assert tt._GRAD_ENABLED is True
             assert tt.tape_size() == 0
 
+    def test_eval_ignores_optimizer_fields(self, dataset, trained, tmp_path):
+        cfg, data = dataset
+        other = tiny_run_config(lr=2e-3, beta1=0.8, beta2=0.99, epsilon=1e-6,
+                                batch_size=3, freeze_intervals=True)
+        for task in ("recognition", "nlq"):
+            a = cli.cmd_eval(cfg, data, tmp_path / "a", task, checkpoint_path=trained)
+            b = cli.cmd_eval(other, data, tmp_path / "b", task, checkpoint_path=trained)
+            assert {**a, "config": None} == {**b, "config": None}
+        assert (tmp_path / "a" / "nlq_outcomes.csv").read_bytes() == \
+            (tmp_path / "b" / "nlq_outcomes.csv").read_bytes()
+
     def test_unknown_task_rejected(self, dataset, tmp_path):
         cfg, data = dataset
         with pytest.raises(ConfigError, match="task"):
@@ -339,3 +418,61 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert rc == 2
         assert "error: config:" in captured.err
+
+
+def _first_narrated_chunk(data: Path) -> Path:
+    for path in sorted((data / "chunks").iterdir()):
+        if datagen.load(path, "c", 1.0, 1).narrations:
+            return path
+    raise AssertionError("no chunk with narrations")
+
+
+def _narration_concept_99(data: Path):
+    path = _first_narrated_chunk(data)
+    blob = bytearray(path.read_bytes())
+    _, _, T, C = struct.unpack_from("<4sIII", blob, 0)
+    struct.pack_into("<I", blob, 16 + T * C * 4 + 4, 99)
+    path.write_bytes(bytes(blob))
+
+
+def _edit_manifest(edit):
+    def corrupt(data: Path):
+        manifest = json.loads((data / cli.MANIFEST_NAME).read_text())
+        edit(next(iter(manifest["videos"].values())))
+        (data / cli.MANIFEST_NAME).write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _wider_features(data: Path):
+    path = _first_narrated_chunk(data)
+    rec = datagen.load(path, "c", 1.0, 1)
+    rec.features = np.hstack([rec.features, rec.features[:, :1]])
+    datagen.store(rec, path)
+
+
+def _trailing_byte(data: Path):
+    path = _first_narrated_chunk(data)
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _narration_concept_99,
+    _edit_manifest(lambda v: v["narrations"][0].update(concept_id=99)),
+    _edit_manifest(lambda v: v["labels"].append(99)),
+    _wider_features,
+    _trailing_byte,
+], ids=["maln_concept", "manifest_narration", "manifest_label",
+        "feature_width", "trailing_bytes"])
+def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
+    cfg, data = dataset
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    corrupt(bad)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    rc = cli.main(["train", "--config", str(cfg_path), "--data", str(bad),
+                   "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(("error: io:", "error: format:")), err
+    assert "manifest.json" in err or ".maln" in err

@@ -9,7 +9,7 @@ from helpers import finite_diff_check
 from momentset import matching
 from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, MomentSample, generate_video
-from momentset.errors import CapacityError, ContractError, DomainError
+from momentset.errors import CapacityError, ContractError, DomainError, OptimizerError
 from momentset.matching import GroundTruthSet, LossScales
 from momentset.model import ModelConfig, MomentPrediction, MomentSetModel
 from momentset.tensor import Tensor
@@ -292,3 +292,27 @@ class TestTrainStep:
         assert any("no narrations" in r.getMessage() for r in caplog.records)
         with pytest.raises(CapacityError):
             matching.train_step(model, vocab, [empty], opt, rng)
+
+    def test_failed_step_clears_tape(self):
+        from momentset.optim import Adam
+
+        class NanGradAdam(Adam):
+            def step(self):
+                self.params["loss.b"].grad = np.array(np.nan)
+                super().step()
+
+        vocab = ConceptVocabulary.generate(5, 6, np.random.default_rng(0))
+        chunk = generate_video(vocab, 3, 30.0, 2, 0.1, rng_seed=1)
+        config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
+                             enc_layers=1, dec_layers=1, heads=2, head_dim=4,
+                             queries=4, temporal_rows=8, ffn_hidden=16)
+        model = MomentSetModel(config, np.random.default_rng(2))
+        with pytest.raises(OptimizerError):
+            matching.train_step(model, vocab, [chunk], NanGradAdam(model.params),
+                                np.random.default_rng(3))
+        assert tt.tape_size() == 0
+        model.params["queries"].data[:] = np.nan  # NaN cost matrix
+        with pytest.raises(DomainError, match="non-finite"):
+            matching.train_step(model, vocab, [chunk], Adam(model.params),
+                                np.random.default_rng(3))
+        assert tt.tape_size() == 0
