@@ -48,8 +48,7 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                     optimizer: Adam, epochs_done: int):
     tensors: dict[str, np.ndarray] = {k: p.data for k, p in model.params.items()}
     for k in model.params:
-        tensors[f"opt.m.{k}"] = optimizer.m[k]
-        tensors[f"opt.v.{k}"] = optimizer.v[k]
+        tensors[f"opt.m.{k}"], tensors[f"opt.v.{k}"] = optimizer.moments(k)
     cfg_bytes = config.to_json().encode("utf-8")
     # write a temp file beside the target and rename it into place, so a
     # failed save leaves the previous checkpoint as it was
@@ -65,7 +64,9 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                 f.write(nb)
                 f.write(struct.pack("<I", arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                # a C-contiguous <f8 array is its own payload: write its
+                # buffer, no bytes copy
+                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

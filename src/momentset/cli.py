@@ -16,7 +16,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
-from .config import RunConfig
+from .config import RunConfig, is_number
 from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
 from .model import MomentSetModel
 from .optim import Adam
@@ -85,16 +85,47 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
 
 
 def _check_concepts(ids, vocab: datagen.ConceptVocabulary, path: Path):
-    bad = [c for c in ids if not (isinstance(c, int) and 0 <= c < vocab.size)]
+    bad = [c for c in ids if isinstance(c, bool)
+           or not (isinstance(c, int) and 0 <= c < vocab.size)]
     if bad:
         raise FeatureStoreError(
             f"{path}: concept ids {bad} outside the vocabulary of {vocab.size}")
 
 
+# what load_dataset and eval read of each manifest video entry
+_VIDEO_FIELDS = {
+    "duration": is_number,
+    "fps": is_number,
+    "chunk_seconds": is_number,
+    "chunks": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+    "labels": lambda v: isinstance(v, list),
+    "narrations": lambda v: isinstance(v, list) and all(
+        isinstance(n, dict) and "concept_id" in n
+        and is_number(n.get("a")) and is_number(n.get("b")) for n in v),
+}
+
+
+def _check_manifest(manifest, path: Path):
+    """Raise FeatureStoreError naming ``path`` unless the manifest has the
+    keys and value types that the dataset readers index."""
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("vocab"), str)
+            and isinstance(manifest.get("videos"), dict)):
+        raise FeatureStoreError(
+            f"{path}: a manifest needs a 'vocab' file name and a 'videos' object")
+    for vid, meta in manifest["videos"].items():
+        if not isinstance(meta, dict):
+            raise FeatureStoreError(f"{path}: video '{vid}' is not an object")
+        bad = [k for k, ok in _VIDEO_FIELDS.items() if k not in meta or not ok(meta[k])]
+        if bad:
+            raise FeatureStoreError(
+                f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
+
+
 def load_dataset(data_dir: Path):
     """Returns (manifest, vocab, {video_id: [chunk records]}); raises
-    FeatureStoreError naming the file for a concept id outside the vocab
-    or a chunk whose feature width is not the vocab's."""
+    FeatureStoreError naming the file for a manifest without the expected
+    keys and types, a concept id outside the vocab, or a chunk whose
+    feature width is not the vocab's."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     try:
@@ -103,6 +134,9 @@ def load_dataset(data_dir: Path):
     except OSError as e:
         raise ConfigError(
             f"{data_dir} is not a dataset directory ({e.strerror})") from e
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
+        raise FeatureStoreError(f"{manifest_path}: unreadable manifest ({e})") from e
+    _check_manifest(manifest, manifest_path)
     vocab = datagen.ConceptVocabulary.load(data_dir / manifest["vocab"])
     videos: dict[str, list[datagen.VideoRecord]] = {}
     for vid, meta in manifest["videos"].items():
@@ -131,6 +165,11 @@ def build_model(config: RunConfig) -> MomentSetModel:
     return MomentSetModel(config.model_config(), np.random.default_rng([config.seed, 2]))
 
 
+def restore_target(config: RunConfig) -> MomentSetModel:
+    """A model for a checkpoint to fill: its weights are allocated, not drawn."""
+    return MomentSetModel(config.model_config(), rng=None)
+
+
 def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
     return Adam(model.params, lr=config.lr, beta1=config.beta1,
                 beta2=config.beta2, eps=config.epsilon)
@@ -152,7 +191,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             f"a chunk has {max_narr} narrations but the model only has "
             f"{config.queries} queries")
 
-    model = build_model(config)
+    model = build_model(config) if resume_from is None else restore_target(config)
     optimizer = build_optimizer(config, model)
     start_epoch = 0
     if resume_from is not None:
@@ -308,8 +347,10 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     manifest, vocab, videos = load_dataset(data_dir)
     if video_ids is not None:
         videos = {v: videos[v] for v in video_ids}
-    model = build_model(config)
-    if checkpoint_path is not None:
+    if checkpoint_path is None:
+        model = build_model(config)
+    else:
+        model = restore_target(config)
         ckpt.restore(ckpt.load_checkpoint(checkpoint_path), config, model)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)

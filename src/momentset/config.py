@@ -3,10 +3,30 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .model import ModelConfig
+
+
+def is_number(v) -> bool:
+    """An int or float JSON value; bool, although an int subclass, is not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_a(v, field_type) -> bool:
+    """Whether a JSON value fits a field: an int field takes no bool, a
+    float field also takes an int, and a list field takes numbers only."""
+    if field_type is bool:
+        return isinstance(v, bool)
+    if field_type is int:
+        return isinstance(v, int) and not isinstance(v, bool)
+    if field_type is float:
+        return is_number(v)
+    if field_type is list:
+        return isinstance(v, list) and all(is_number(x) for x in v)
+    return isinstance(v, field_type)
 
 
 @dataclass
@@ -59,10 +79,15 @@ class RunConfig(ModelConfig):
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+        types = typing.get_type_hints(cls)
+        unknown = set(d) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        wrong = [f"{k} ({v!r})" for k, v in d.items() if not _is_a(v, types[k])]
+        if wrong:
+            raise ConfigError(f"config values of the wrong type: {', '.join(wrong)}")
         return cls(**d)
 
     @classmethod

@@ -9,6 +9,7 @@ generation time so the on-disk format round-trips bit-exactly.
 from __future__ import annotations
 
 import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,11 @@ class ConceptVocabulary:
 
     @classmethod
     def load(cls, path) -> "ConceptVocabulary":
-        with np.load(path) as z:
-            return cls(z["vectors"])
+        try:
+            with np.load(path) as z:
+                return cls(z["vectors"])
+        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
+            raise FeatureStoreError(f"{path}: unreadable vocabulary ({e})") from e
 
 
 def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
@@ -199,8 +203,11 @@ def store(record: VideoRecord, path):
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    with open(path, "rb") as f:
-        blob = f.read()
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise FeatureStoreError(f"{path}: unreadable chunk ({e.strerror})") from e
     if len(blob) < 16:
         raise TruncatedFileError(f"{path}: shorter than the 16-byte header")
     magic, version, T, C = struct.unpack_from("<4sIII", blob, 0)

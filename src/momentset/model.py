@@ -71,10 +71,16 @@ class MomentPrediction:
     te_end: Tensor       # N x d
 
 
+def _init_normal(shape, fan_in, rng):
+    """Scaled normal init, or uninitialised storage when ``rng`` is None."""
+    if rng is None:
+        return np.empty(shape)
+    return rng.standard_normal(shape) / math.sqrt(fan_in)
+
+
 def _init_linear(params, name, fan_in, fan_out, rng):
-    params[f"{name}.w"] = Tensor(
-        rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in),
-        requires_grad=True)
+    params[f"{name}.w"] = Tensor(_init_normal((fan_in, fan_out), fan_in, rng),
+                                 requires_grad=True)
     params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
 
 
@@ -111,9 +117,14 @@ def _stack_row(t: Tensor, b: int) -> Tensor:
 
 
 class MomentSetModel:
-    """Owns all learnable tensors and the forward composition."""
+    """Owns all learnable tensors and the forward composition.
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    With ``rng=None`` the weight matrices and the queries are allocated but
+    not drawn, for a model that a checkpoint is about to fill: no random
+    numbers are made and those arrays are not written.
+    """
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         config.validate()
         self.config = config
         c = config
@@ -127,9 +138,8 @@ class MomentSetModel:
             _init_layernorm(p, f"{pre}.ln2", c.model_dim)
             _init_linear(p, f"{pre}.ffn.fc1", c.model_dim, c.ffn_hidden, rng)
             _init_linear(p, f"{pre}.ffn.fc2", c.ffn_hidden, c.model_dim, rng)
-        p["queries"] = Tensor(
-            rng.standard_normal((c.queries, c.model_dim)) / math.sqrt(c.model_dim),
-            requires_grad=True)
+        p["queries"] = Tensor(_init_normal((c.queries, c.model_dim), c.model_dim, rng),
+                              requires_grad=True)
         for i in range(c.dec_layers):
             pre = f"dec.{i}"
             _init_layernorm(p, f"{pre}.ln1", c.model_dim)
@@ -231,12 +241,16 @@ class MomentSetModel:
         are grouped rather than padded, because each chunk's temporal
         embeddings are interpolated to its own token count.
         """
+        k = self.config.conv_kernel
         groups: dict[int, list[int]] = {}
         for i, features in enumerate(features_list):
             groups.setdefault(len(features), []).append(i)
         preds: list[MomentPrediction | None] = [None] * len(features_list)
-        for idx in groups.values():
-            stacked = self.forward(np.stack([features_list[i] for i in idx]))
+        for length, idx in groups.items():
+            # stack whole conv windows only, so tokenize's window reshape is a
+            # view; a chunk shorter than one window is left for tokenize to reject
+            used = length - length % k if length >= k else length
+            stacked = self.forward(np.stack([features_list[i][:used] for i in idx]))
             for b, i in enumerate(idx):
                 preds[i] = MomentPrediction(
                     _stack_row(stacked.visual, b), _stack_row(stacked.te_start, b),

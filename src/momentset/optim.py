@@ -3,15 +3,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OptimizerError
+from .errors import ContractError, OptimizerError
 from .tensor import Tensor
+
+# Elements per block of the in-place update: 16 K float64 values, so one
+# block of each operand and both scratch buffers stay in cache together.
+BLOCK = 16384
 
 
 class Adam:
     """Standard Adam with bias correction.
 
     Defaults beta1=0.9, beta2=0.999, eps=1e-8. Moment buffers are keyed by
-    parameter name so they can round-trip through checkpoints.
+    parameter name so they can round-trip through checkpoints. A parameter's
+    pair is made at its first update (or handed over by a restore); until
+    then ``moments`` reports zeros. So a resume, whose moments the
+    checkpoint replaces, never allocates and writes a zero pair first.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-4,
@@ -22,8 +29,15 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The first and second moments of a parameter; zeros before its
+        first update."""
+        shape = self.params[name].data.shape
+        return (self.m[name] if name in self.m else np.zeros(shape),
+                self.v[name] if name in self.v else np.zeros(shape))
 
     def zero_grad(self):
         for p in self.params.values():
@@ -31,24 +45,55 @@ class Adam:
 
     def step(self):
         """One update. Every gradient is checked first, so a non-finite one
-        raises OptimizerError with no parameter, moment or count changed."""
+        raises OptimizerError (and non-contiguous storage ContractError) with
+        no parameter, moment or count changed.
+
+        Each parameter is updated in place, block by block, through two
+        block-sized scratch buffers. Every element goes through the same
+        operations in the same order as the unblocked update
+        ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so results are bit-identical.
+        """
         t = self.step_count + 1
         for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            if p.grad is None:
+                continue
+            if not np.all(np.isfinite(p.grad)):
                 raise OptimizerError(
                     f"non-finite gradient in parameter '{name}' at step {t}"
                 )
+            # the update writes through flat views, and reshape would
+            # silently copy a non-contiguous array
+            arrays = [p.data, *(d[name] for d in (self.m, self.v) if name in d)]
+            if not all(a.flags.c_contiguous for a in arrays):
+                raise ContractError(f"parameter '{name}' or its moments are not C-contiguous")
         self.step_count = t
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        scratch_a = np.empty(BLOCK)
+        scratch_b = np.empty(BLOCK)
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
+            if p.grad is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            self.m[name], self.v[name] = self.moments(name)
+            data, grad, m, v = (a.reshape(-1) for a in (
+                p.data, p.grad, self.m[name], self.v[name]))
+            for lo in range(0, data.size, BLOCK):
+                hi = min(lo + BLOCK, data.size)
+                g, mb, vb = grad[lo:hi], m[lo:hi], v[lo:hi]
+                a, b = scratch_a[:hi - lo], scratch_b[:hi - lo]
+                mb *= b1
+                np.multiply(g, 1.0 - b1, out=a)
+                mb += a
+                vb *= b2
+                np.multiply(g, 1.0 - b2, out=a)
+                a *= g
+                vb += a
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                np.divide(mb, bc1, out=a)
+                a *= lr
+                a /= b
+                data[lo:hi] -= a

@@ -254,10 +254,16 @@ def exp(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    phi = erf(x * _INV_SQRT2)  # phi = 0.5 * (1 + erf(x / sqrt 2)), in place
+    phi += 1.0
+    phi *= 0.5
     out = Tensor(x * phi)
-    dydx = phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return _record(out, (a,), lambda g: (g * dydx,))
+
+    def bwd(g):
+        # formed only when backward runs, so a no_grad forward skips the exp
+        return (g * (phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI),)
+
+    return _record(out, (a,), bwd)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:

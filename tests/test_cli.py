@@ -144,6 +144,31 @@ class TestTrain:
         ckpt.save_checkpoint(path2, cfg, model2, opt2, epochs_done=0)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_save_writes_reference_bytes(self, dataset, tmp_path):
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        opt = cli.build_optimizer(cfg, model)
+        rng = np.random.default_rng(0)
+        for name, p in model.params.items():  # "queries" keeps zero moments
+            p.grad = None if name == "queries" else rng.standard_normal(p.data.shape)
+        opt.step()
+        path = tmp_path / "s.malc"
+        ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=2)
+        tensors = {k: p.data for k, p in model.params.items()}
+        for k, p in model.params.items():
+            zeros = np.zeros(p.data.shape)
+            tensors[f"opt.m.{k}"] = opt.m.get(k, zeros)
+            tensors[f"opt.v.{k}"] = opt.v.get(k, zeros)
+        assert "queries" not in opt.m
+        cfg_bytes = cfg.to_json().encode()
+        expect = [struct.pack("<4sII", b"MALC", 1, len(cfg_bytes)), cfg_bytes,
+                  struct.pack("<QQI", 2, 1, len(tensors))]
+        for name, arr in tensors.items():
+            expect += [struct.pack("<I", len(name)), name.encode(),
+                       struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
+                       arr.astype("<f8").tobytes()]
+        assert path.read_bytes() == b"".join(expect)
+
     def test_restore_rejects_config_mismatch(self, dataset, tmp_path):
         cfg, _ = dataset
         model = cli.build_model(cfg)
@@ -370,6 +395,25 @@ class TestEval:
         assert (tmp_path / "a" / "nlq_outcomes.csv").read_bytes() == \
             (tmp_path / "b" / "nlq_outcomes.csv").read_bytes()
 
+    def test_restored_model_draws_no_init(self, dataset, trained, tmp_path, monkeypatch):
+        cfg, data = dataset
+        a = {task: cli.cmd_eval(cfg, data, tmp_path / "a", task, checkpoint_path=trained)
+             for task in ("recognition", "nlq")}
+
+        def seeded_init(config):
+            raise AssertionError("a model for a checkpoint drew its init")
+
+        monkeypatch.setattr(cli, "build_model", seeded_init)
+        other = tiny_run_config(seed=11)  # another build seed, same model fields
+        for task in ("recognition", "nlq"):
+            b = cli.cmd_eval(other, data, tmp_path / "b", task, checkpoint_path=trained)
+            assert {**a[task], "config": None} == {**b, "config": None}
+        assert (tmp_path / "a" / "nlq_outcomes.csv").read_bytes() == \
+            (tmp_path / "b" / "nlq_outcomes.csv").read_bytes()
+        shutil.copy(trained, tmp_path / cli.CHECKPOINT_NAME)
+        cli.cmd_train(tiny_run_config(epochs=3), data, tmp_path,
+                      resume_from=tmp_path / cli.CHECKPOINT_NAME)
+
     def test_unknown_task_rejected(self, dataset, tmp_path):
         cfg, data = dataset
         with pytest.raises(ConfigError, match="task"):
@@ -419,6 +463,16 @@ class TestMainEntry:
         assert rc == 2
         assert "error: config:" in captured.err
 
+    @pytest.mark.parametrize("entry", ['"fps": "6"', '"epochs": true', '"nlq_topk": "1"'])
+    def test_mistyped_config_value(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{%s}" % entry)
+        rc = cli.main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: config:"), captured.err
+        assert entry.split(":")[0].strip('"') in captured.err
+
 
 def _first_narrated_chunk(data: Path) -> Path:
     for path in sorted((data / "chunks").iterdir()):
@@ -443,6 +497,13 @@ def _edit_manifest(edit):
     return corrupt
 
 
+def _rewrite_manifest(edit):
+    def corrupt(data: Path):
+        path = data / cli.MANIFEST_NAME
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return corrupt
+
+
 def _wider_features(data: Path):
     path = _first_narrated_chunk(data)
     rec = datagen.load(path, "c", 1.0, 1)
@@ -461,8 +522,24 @@ def _trailing_byte(data: Path):
     _edit_manifest(lambda v: v["labels"].append(99)),
     _wider_features,
     _trailing_byte,
+    _rewrite_manifest(lambda m: {"videos": {}}),
+    _rewrite_manifest(lambda m: {**m, "vocab": 3}),
+    _rewrite_manifest(lambda m: {**m, "videos": []}),
+    _rewrite_manifest(lambda m: [m]),
+    _edit_manifest(lambda v: v.pop("chunks")),
+    _edit_manifest(lambda v: v.update(duration="100")),
+    _edit_manifest(lambda v: v.update(fps=True)),
+    _edit_manifest(lambda v: v.update(chunks=[1])),
+    _edit_manifest(lambda v: v["narrations"][0].pop("concept_id")),
+    _edit_manifest(lambda v: v["narrations"][0].pop("b")),
+    _edit_manifest(lambda v: v.update(labels=[True])),
+    lambda data: (data / cli.MANIFEST_NAME).write_text("{not json"),
 ], ids=["maln_concept", "manifest_narration", "manifest_label",
-        "feature_width", "trailing_bytes"])
+        "feature_width", "trailing_bytes",
+        "manifest_no_vocab", "manifest_vocab_not_str", "manifest_videos_not_object",
+        "manifest_not_object", "manifest_no_chunks", "manifest_duration_str",
+        "manifest_fps_bool", "manifest_chunk_not_str", "manifest_narration_no_concept",
+        "manifest_narration_no_end", "manifest_label_bool", "manifest_not_json"])
 def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     cfg, data = dataset
     bad = tmp_path / "data"
@@ -476,3 +553,26 @@ def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     assert rc == 2
     assert err.startswith(("error: io:", "error: format:")), err
     assert "manifest.json" in err or ".maln" in err
+
+
+def _first_chunk_file(data: Path) -> Path:
+    return sorted((data / "chunks").iterdir())[0]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda data: (data / cli.VOCAB_NAME).unlink(), cli.VOCAB_NAME),
+    (lambda data: (data / cli.VOCAB_NAME).write_bytes(b"not a zip"), cli.VOCAB_NAME),
+    (lambda data: _first_chunk_file(data).unlink(), ".maln"),
+], ids=["vocab_missing", "vocab_garbage", "chunk_missing"])
+def test_unreadable_dataset_file_is_a_clean_error(dataset, tmp_path, capsys,
+                                                  corrupt, named):
+    cfg, data = dataset
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    corrupt(bad)
+    rc = cli.main(["eval", "--data", str(bad), "--out", str(tmp_path / "o"),
+                   "--task", "nlq"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: io:"), err
+    assert named in err

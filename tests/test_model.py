@@ -239,6 +239,34 @@ class TestForward:
                 assert got.data.shape == expect.data.shape
                 np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
 
+    def test_forward_chunks_stack_whole_windows(self, monkeypatch):
+        model = make(tiny_config())
+        seen = []
+        tokenize = model.tokenize
+
+        def spy(features):
+            seen.append(features.shape)
+            return tokenize(features)
+
+        monkeypatch.setattr(model, "tokenize", spy)
+        rng = np.random.default_rng(15)
+        model.forward_chunks([rng.standard_normal((t, 6)) for t in (9, 12, 9)])
+        assert sorted(seen) == [(1, 12, 6), (2, 8, 6)]
+
+    def test_forward_chunks_reject_a_chunk_shorter_than_the_kernel(self):
+        model = make(tiny_config(conv_kernel=3))
+        rng = np.random.default_rng(16)
+        with pytest.raises(InputTooShortError, match="2 frames"):
+            model.forward_chunks([rng.standard_normal((t, 6)) for t in (7, 2)])
+
+    def test_model_for_restore_has_the_seeded_layout(self):
+        cfg = tiny_config()
+        seeded, empty = make(cfg), MomentSetModel(cfg, rng=None)
+        assert list(empty.params) == list(seeded.params)
+        for name, p in empty.params.items():
+            assert p.data.shape == seeded.params[name].data.shape
+            assert p.requires_grad
+
     def test_end_to_end_gradient(self):
         model = make(tiny_config(enc_layers=1, dec_layers=1))
         rng = np.random.default_rng(11)

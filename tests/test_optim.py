@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from momentset import tensor as tt
-from momentset.errors import OptimizerError
-from momentset.optim import Adam
+from momentset.errors import ContractError, OptimizerError
+from momentset.optim import BLOCK, Adam
 from momentset.tensor import Tensor
 
 
@@ -74,3 +74,68 @@ def test_skips_params_without_grad():
     p.grad = np.array(1.0)
     opt.step()
     assert float(q.data) == 2.0
+
+
+def _reference_step(p, g, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+    """The unblocked update on whole arrays, in the order Adam.step keeps."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps), m, v
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (BLOCK,), (BLOCK + 1,), (200, 200)])
+def test_blocked_step_matches_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(7)
+    p = Tensor(rng.standard_normal(shape), requires_grad=True)
+    opt = Adam({"p": p}, lr=0.01)
+    ref, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    for t in (1, 2, 3):
+        p.grad = rng.standard_normal(shape) * 10.0 ** (t - 2)
+        opt.step()
+        ref, m, v = _reference_step(ref, p.grad, m, v, t)
+        assert p.data.tobytes() == ref.tobytes()
+        assert opt.m["p"].tobytes() == m.tobytes()
+        assert opt.v["p"].tobytes() == v.tobytes()
+
+
+def test_param_without_grad_keeps_value_and_moments():
+    rng = np.random.default_rng(1)
+    params = {k: Tensor(rng.standard_normal(BLOCK + 5), requires_grad=True)
+              for k in ("a", "b")}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = rng.standard_normal(BLOCK + 5)
+    opt.step()
+    kept = (params["b"].data.copy(), opt.m["b"].copy(), opt.v["b"].copy())
+    params["b"].grad = None
+    params["a"].grad = rng.standard_normal(BLOCK + 5)
+    opt.step()
+    assert params["b"].data.tobytes() == kept[0].tobytes()
+    assert opt.m["b"].tobytes() == kept[1].tobytes()
+    assert opt.v["b"].tobytes() == kept[2].tobytes()
+
+
+def test_non_contiguous_param_is_refused_before_any_write():
+    a = Tensor(np.ones(4), requires_grad=True)
+    b = Tensor(np.ones((3, 2)).T, requires_grad=True)  # a transposed view
+    opt = Adam({"a": a, "b": b}, lr=0.1)
+    a.grad, b.grad = np.ones(4), np.ones((2, 3))
+    with pytest.raises(ContractError, match="'b'"):
+        opt.step()
+    assert opt.step_count == 0
+    np.testing.assert_array_equal(a.data, np.ones(4))
+    assert opt.m == {} and opt.v == {}
+
+
+def test_moments_are_made_at_first_update():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(2), requires_grad=True)
+    opt = Adam({"p": p, "q": q}, lr=0.1)
+    assert opt.m == {}
+    for m in opt.moments("q"):
+        np.testing.assert_array_equal(m, np.zeros(2))
+    p.grad = np.ones(3)
+    opt.step()
+    assert set(opt.m) == set(opt.v) == {"p"}
+    assert opt.moments("p")[0] is opt.m["p"]

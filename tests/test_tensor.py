@@ -240,3 +240,16 @@ def test_forward_activations_finite():
     x = Tensor(rng.standard_normal((5, 8)) * 10, requires_grad=True)
     y = tt.softmax(tt.layernorm(tt.gelu(x)))
     assert np.all(np.isfinite(y.data))
+
+
+def test_gelu_matches_closed_form_bit_for_bit():
+    from scipy.special import erf
+    x = np.random.default_rng(8).standard_normal((6, 7)) * 3
+    phi = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    dydx = phi + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    with tt.no_grad():
+        assert tt.gelu(Tensor(x)).data.tobytes() == (x * phi).tobytes()
+    a = Tensor(x, requires_grad=True)
+    g = np.random.default_rng(9).standard_normal(x.shape)
+    tt.backward(tt.tsum(tt.gelu(a) * Tensor(g)))
+    np.testing.assert_allclose(a.grad, g * dydx, rtol=1e-15, atol=0)
