@@ -30,10 +30,10 @@ VERSION = 1
 
 # RunConfig fields a checkpoint must share with the run that restores it:
 # the model, and for a resumed run also the optimizer schedule. The dataset,
-# the epoch count and the eval settings (workers included) may differ.
+# the epoch count and workers may differ. Fields are read by name, so keys
+# that a config snapshot has and RunConfig no longer does are ignored.
 MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
-IDENTITY_FIELDS = (*MODEL_FIELDS, "lr", "beta1", "beta2", "epsilon",
-                   "batch_size", "freeze_intervals")
+IDENTITY_FIELDS = (*MODEL_FIELDS, "lr", "batch_size", "freeze_intervals")
 
 
 @dataclass

@@ -29,6 +29,11 @@ VOCAB_NAME = "vocab.npz"
 CHECKPOINT_NAME = "checkpoint.malc"
 TRAIN_LOG_NAME = "train_log.csv"
 
+# The Ego4D NLQ protocol (Grauman et al., CVPR 2022): recall@{1, 5} at
+# temporal IoU {0.3, 0.5}.
+NLQ_TOPK = (1, 5)
+IOU_THRESHOLDS = (0.3, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # dataset generation
@@ -121,8 +126,12 @@ def _check_manifest(manifest, path: Path):
                 f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
 
 
-def load_dataset(data_dir: Path):
-    """Returns (manifest, vocab, {video_id: [chunk records]}); raises
+def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
+    """Returns (manifest, vocab, {video_id: [chunk records]}) for
+    ``video_ids`` in that order, or for every manifest video.
+
+    The whole manifest is checked, but only the selected videos' chunk files
+    are read. Raises ConfigError for a video id the manifest lacks, and
     FeatureStoreError naming the file for a manifest without the expected
     keys and types, a concept id outside the vocab, or a chunk whose
     feature width is not the vocab's."""
@@ -137,11 +146,18 @@ def load_dataset(data_dir: Path):
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
         raise FeatureStoreError(f"{manifest_path}: unreadable manifest ({e})") from e
     _check_manifest(manifest, manifest_path)
+    if video_ids is None:
+        video_ids = list(manifest["videos"])
+    unknown = [v for v in video_ids if v not in manifest["videos"]]
+    if unknown:
+        raise ConfigError(f"video ids {unknown} are not in {manifest_path}")
     vocab = datagen.ConceptVocabulary.load(data_dir / manifest["vocab"])
-    videos: dict[str, list[datagen.VideoRecord]] = {}
-    for vid, meta in manifest["videos"].items():
+    for meta in manifest["videos"].values():
         _check_concepts(meta["labels"] + [n["concept_id"] for n in meta["narrations"]],
                         vocab, manifest_path)
+    videos: dict[str, list[datagen.VideoRecord]] = {}
+    for vid in video_ids:
+        meta = manifest["videos"][vid]
         cs = meta["chunk_seconds"]
         chunks = []
         for k, rel in enumerate(meta["chunks"]):
@@ -171,8 +187,7 @@ def restore_target(config: RunConfig) -> MomentSetModel:
 
 
 def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
-    return Adam(model.params, lr=config.lr, beta1=config.beta1,
-                beta2=config.beta2, eps=config.epsilon)
+    return Adam(model.params, lr=config.lr)
 
 
 def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
@@ -181,9 +196,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, vocab, videos = load_dataset(data_dir)
-    if video_ids is not None:
-        videos = {v: videos[v] for v in video_ids}
+    _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs]
     max_narr = max((len(c.narrations) for c in chunks), default=0)
     if max_narr > config.queries:
@@ -255,7 +268,8 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
     labels = np.zeros((len(vids), vocab.size), dtype=bool)
     for r, vid in enumerate(vids):
         preds = _video_prediction_chunks(model, videos[vid])
-        per_chunk = [evaluate.recognition_scores(p, vocab.vectors) for p in preds]
+        per_chunk = [evaluate.recognition_scores(p.visual.data, vocab.vectors)
+                     for p in preds]
         scores[r] = np.mean(per_chunk, axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
     return {"task": "recognition",
@@ -316,15 +330,15 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
             row = {"video_id": vid, "concept_id": n["concept_id"],
                    "gt_start": gt[0], "gt_end": gt[1],
                    "top1_start": intervals[0][0], "top1_end": intervals[0][1]}
-            for k in config.nlq_topk:
+            for k in NLQ_TOPK:
                 best = max((evaluate.temporal_iou(p, gt) for p in intervals[:k]),
                            default=0.0)
                 row[f"best_iou_top{k}"] = best
             rows.append(row)
     recall = {}
-    for k in config.nlq_topk:
+    for k in NLQ_TOPK:
         recall[str(k)] = {}
-        for iou in config.iou_thresholds:
+        for iou in IOU_THRESHOLDS:
             recall[str(k)][str(iou)] = evaluate.nlq_recall(
                 gt_intervals, predictions, k, iou)
     if outcomes_path is not None:
@@ -344,9 +358,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
         raise ConfigError(f"unknown eval task '{task}'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest, vocab, videos = load_dataset(data_dir)
-    if video_ids is not None:
-        videos = {v: videos[v] for v in video_ids}
+    manifest, vocab, videos = load_dataset(data_dir, video_ids)
     if checkpoint_path is None:
         model = build_model(config)
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -16,23 +16,22 @@ def is_number(v) -> bool:
 
 
 def _is_a(v, field_type) -> bool:
-    """Whether a JSON value fits a field: an int field takes no bool, a
-    float field also takes an int, and a list field takes numbers only."""
+    """Whether a JSON value fits a field: an int field takes no bool, and a
+    float field also takes an int."""
     if field_type is bool:
         return isinstance(v, bool)
     if field_type is int:
         return isinstance(v, int) and not isinstance(v, bool)
     if field_type is float:
         return is_number(v)
-    if field_type is list:
-        return isinstance(v, list) and all(is_number(x) for x in v)
     return isinstance(v, field_type)
 
 
 @dataclass
 class RunConfig(ModelConfig):
     """The model fields (inherited from ModelConfig) plus the dataset,
-    optimizer and evaluation fields of one run."""
+    optimizer-schedule and generate fields of one run. Adam's betas and
+    epsilon (optim.py) and the NLQ protocol (cli.py) are constants."""
     # dataset
     seed: int = 0
     videos: int = 32
@@ -44,15 +43,10 @@ class RunConfig(ModelConfig):
     noise_level: float = 0.1
     # optimizer / schedule
     lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 30
     batch_size: int = 8
     freeze_intervals: bool = False
-    # evaluation
-    nlq_topk: list = field(default_factory=lambda: [1, 5])
-    iou_thresholds: list = field(default_factory=lambda: [0.3, 0.5])
+    # threads for generate only
     workers: int = 1
 
     def model_config(self) -> ModelConfig:

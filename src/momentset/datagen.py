@@ -8,6 +8,7 @@ generation time so the on-disk format round-trips bit-exactly.
 """
 from __future__ import annotations
 
+import math
 import struct
 import zipfile
 from dataclasses import dataclass, field
@@ -159,7 +160,7 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """Split into consecutive non-overlapping chunks; last one may be short.
 
     Narrations land in the chunk containing their timestamp, re-based to the
-    chunk start; true intervals are clipped to the chunk.
+    chunk start; timestamps and true intervals are clipped to the chunk.
     """
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
@@ -180,7 +181,7 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
         k = min(int(n.t // chunk_seconds), n_chunks - 1)
         off = k * chunk_seconds
         chunks[k].narrations.append(Narration(
-            n.concept_id, n.t - off,
+            n.concept_id, min(max(n.t - off, 0.0), chunks[k].duration),
             max(n.a - off, 0.0),
             min(n.b - off, chunks[k].duration)))
     return chunks
@@ -203,6 +204,10 @@ def store(record: VideoRecord, path):
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
+    """Read one chunk; raises a FeatureStoreError naming the file for bad
+    framing, and for narration times that interval sampling cannot take:
+    every t, a and b must be finite, and each t in [0, duration] and no
+    earlier than the one before it."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -234,4 +239,11 @@ def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
     if len(blob) != off:
         raise FeatureStoreError(
             f"{path}: {len(blob) - off} trailing bytes after the narration block")
+    times = [n.t for n in narrations]
+    if not (all(math.isfinite(x) for n in narrations for x in (n.t, n.a, n.b))
+            and all(0.0 <= t <= duration for t in times)
+            and all(s <= t for s, t in zip(times, times[1:]))):
+        raise FeatureStoreError(
+            f"{path}: narration times must be finite, with each t in "
+            f"[0, {duration}] and in non-decreasing order")
     return VideoRecord(video_id, duration, fps, feats, narrations)

@@ -9,16 +9,13 @@ import logging
 
 import numpy as np
 
-from .model import MomentPrediction
-
 log = logging.getLogger(__name__)
 
 
-def recognition_scores(pred: MomentPrediction,
-                       class_vectors: np.ndarray) -> np.ndarray:
-    """Per-class score: mean cosine of all predicted visual embeddings."""
-    visual = pred.visual.data if isinstance(pred, MomentPrediction) else np.asarray(pred)
-    return (visual @ np.asarray(class_vectors).T).mean(axis=0)
+def recognition_scores(visual: np.ndarray, class_vectors: np.ndarray) -> np.ndarray:
+    """Per-class score: mean cosine of all predicted visual embeddings
+    (the N x C rows of one prediction)."""
+    return (np.asarray(visual) @ np.asarray(class_vectors).T).mean(axis=0)
 
 
 def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -52,11 +49,10 @@ def video_map(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(aps))
 
 
-def rank_queries(pred: MomentPrediction, query_vec: np.ndarray):
-    """Query slots sorted by cosine with the language query, descending;
-    ties keep slot order. ``pred`` may also be a bare N x C visual matrix."""
-    visual = pred.visual.data if isinstance(pred, MomentPrediction) else np.asarray(pred)
-    sims = visual @ np.asarray(query_vec).reshape(-1)
+def rank_queries(visual: np.ndarray, query_vec: np.ndarray):
+    """Query slots (rows of the N x C visual matrix) sorted by cosine with
+    the language query, descending; ties keep slot order."""
+    sims = np.asarray(visual) @ np.asarray(query_vec).reshape(-1)
     order = np.argsort(-sims, kind="stable")
     return order, sims
 

@@ -116,21 +116,16 @@ def sample_chunk_intervals(chunk: VideoRecord,
 
 def chunk_loss(model: MomentSetModel, vocab: ConceptVocabulary,
                chunk: VideoRecord, samples: list[MomentSample],
-               assignment: np.ndarray | None = None):
+               assignment: np.ndarray | None = None,
+               pred: MomentPrediction | None = None):
     """Forward + match + loss for one chunk.
 
     Pass a fixed ``assignment`` to evaluate the loss as a smooth function of
-    the parameters (used by gradient checks).
+    the parameters (used by gradient checks), and the chunk's ``pred`` when
+    its forward already ran (as part of a stacked batch).
     """
-    return prediction_loss(model, vocab, chunk, samples,
-                           model.forward(chunk.features), assignment)
-
-
-def prediction_loss(model: MomentSetModel, vocab: ConceptVocabulary,
-                    chunk: VideoRecord, samples: list[MomentSample],
-                    pred: MomentPrediction,
-                    assignment: np.ndarray | None = None):
-    """Match + loss for one chunk's prediction; see ``chunk_loss``."""
+    if pred is None:
+        pred = model.forward(chunk.features)
     gt = chunk_ground_truth(model, vocab, chunk, samples)
     sims = similarity_matrices(pred, gt)
     if assignment is None:
@@ -190,8 +185,8 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
         total = None
         matched_all, unmatched_all = [], []
         for chunk, chunk_samples, pred in zip(used, samples, preds):
-            loss, sims, assignment = prediction_loss(
-                model, vocab, chunk, chunk_samples, pred)
+            loss, sims, assignment = chunk_loss(
+                model, vocab, chunk, chunk_samples, pred=pred)
             mm, um = _sim_means(sims, assignment)
             matched_all.append(mm)
             unmatched_all.append(um)

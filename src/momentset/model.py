@@ -158,14 +158,10 @@ class MomentSetModel:
         p["loss.log_t"] = Tensor(np.array(math.log(10.0)), requires_grad=True)
         p["loss.b"] = Tensor(np.array(float(c.loss_bias_init)), requires_grad=True)
         self.params = p
-        self.temporal = TemporalTable(
-            TemporalTable.init_sinusoidal(c.temporal_rows, c.model_dim).table)
+        self.temporal = TemporalTable.init_sinusoidal(c.temporal_rows, c.model_dim)
         p["temporal.table"] = self.temporal.table
 
     # ------------------------------------------------------------------
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params.values())
 

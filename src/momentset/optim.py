@@ -6,28 +6,28 @@ import numpy as np
 from .errors import ContractError, OptimizerError
 from .tensor import Tensor
 
+# Plain Adam (Kingma & Ba, ICLR 2015) with its published defaults.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 # Elements per block of the in-place update: 16 K float64 values, so one
 # block of each operand and both scratch buffers stay in cache together.
 BLOCK = 16384
 
 
 class Adam:
-    """Standard Adam with bias correction.
-
-    Defaults beta1=0.9, beta2=0.999, eps=1e-8. Moment buffers are keyed by
+    """Standard Adam with bias correction; only the learning rate is set per
+    run (BETA1, BETA2 and EPS are fixed). Moment buffers are keyed by
     parameter name so they can round-trip through checkpoints. A parameter's
     pair is made at its first update (or handed over by a restore); until
     then ``moments`` reports zeros. So a resume, whose moments the
     checkpoint replaces, never allocates and writes a zero pair first.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 5e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 5e-4):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -68,7 +68,7 @@ class Adam:
             if not all(a.flags.c_contiguous for a in arrays):
                 raise ContractError(f"parameter '{name}' or its moments are not C-contiguous")
         self.step_count = t
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         scratch_a = np.empty(BLOCK)

@@ -12,7 +12,13 @@ from momentset import checkpoint as ckpt
 from momentset import cli, datagen
 from momentset import tensor as tt
 from momentset.config import RunConfig
-from momentset.errors import CheckpointError, ConfigError, MomentSetError, TruncatedFileError
+from momentset.errors import (
+    CheckpointError,
+    ConfigError,
+    FeatureStoreError,
+    MomentSetError,
+    TruncatedFileError,
+)
 from momentset.model import ModelConfig
 
 
@@ -25,6 +31,12 @@ def tiny_run_config(**kw):
                 batch_size=2)
     base.update(kw)
     return RunConfig(**base)
+
+
+# keys that configs and checkpoint snapshots used to carry, at the values
+# that are now constants: Adam's betas and epsilon, and the NLQ grid
+REMOVED_KEYS = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8,
+                "nlq_topk": [1, 5], "iou_thresholds": [0.3, 0.5]}
 
 
 def tree_digest(root: Path) -> dict:
@@ -57,11 +69,11 @@ class TestConfig:
 
     def test_flat_schema_and_model_fields(self):
         assert sorted(RunConfig().to_dict()) == [
-            "batch_size", "beta1", "beta2", "chunk_seconds", "conv_kernel",
-            "dec_layers", "duration", "enc_layers", "epochs", "epsilon",
+            "batch_size", "chunk_seconds", "conv_kernel",
+            "dec_layers", "duration", "enc_layers", "epochs",
             "feature_dim", "ffn_hidden", "fps", "freeze_intervals", "head_dim",
-            "heads", "iou_thresholds", "loss_bias_init", "lr", "model_dim",
-            "moments_per_video", "nlq_topk", "noise_level", "queries", "seed",
+            "heads", "loss_bias_init", "lr", "model_dim",
+            "moments_per_video", "noise_level", "queries", "seed",
             "temporal_rows", "videos", "vocab_size", "workers"]
         assert RunConfig().model_config() == ModelConfig()
 
@@ -112,6 +124,29 @@ class TestGenerate:
         digest_a = {k: v for k, v in tree_digest(out).items() if k != cli.MANIFEST_NAME}
         digest_b = {k: v for k, v in tree_digest(par).items() if k != cli.MANIFEST_NAME}
         assert digest_a == digest_b
+
+
+class TestLoadDataset:
+    def test_unknown_video_id_is_a_config_error(self, dataset):
+        _, data = dataset
+        with pytest.raises(ConfigError, match="video9999"):
+            cli.load_dataset(data, ["video0000", "video9999"])
+
+    def test_reads_only_the_selected_videos(self, dataset, tmp_path):
+        _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        for path in (bad / "chunks").glob("video0001_*"):
+            path.unlink()
+        _, _, videos = cli.load_dataset(bad, ["video0002", "video0000"])
+        assert list(videos) == ["video0002", "video0000"]
+        _, _, full = cli.load_dataset(data)
+        for vid, chunks in videos.items():
+            for a, b in zip(chunks, full[vid], strict=True):
+                assert a.features.tobytes() == b.features.tobytes()
+                assert a.narrations == b.narrations
+        with pytest.raises(FeatureStoreError, match="video0001"):
+            cli.load_dataset(bad)
 
 
 class TestTrain:
@@ -186,8 +221,7 @@ class TestTrain:
         model = cli.build_model(cfg)
         path = tmp_path / "r.malc"
         ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
-        for change in ({"epochs": 9}, {"workers": 2}, {"nlq_topk": [1]},
-                       {"iou_thresholds": [0.7]}, {"seed": 11, "videos": 5}):
+        for change in ({"epochs": 9}, {"workers": 2}, {"seed": 11, "videos": 5}):
             other = tiny_run_config(**change)
             model2 = cli.build_model(other)
             ckpt.restore(ckpt.load_checkpoint(path), other, model2,
@@ -198,8 +232,7 @@ class TestTrain:
         model = cli.build_model(cfg)
         path = tmp_path / "e.malc"
         ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
-        other = tiny_run_config(lr=2e-3, beta1=0.8, beta2=0.99, epsilon=1e-6,
-                                batch_size=3, freeze_intervals=True)
+        other = tiny_run_config(lr=2e-3, batch_size=3, freeze_intervals=True)
         data = ckpt.load_checkpoint(path)
         for key in list(data.tensors):
             if key.startswith("opt."):
@@ -217,6 +250,28 @@ class TestTrain:
                 with pytest.raises(CheckpointError, match=field):
                     ckpt.restore(ckpt.load_checkpoint(path), other,
                                  cli.build_model(other), optimizer)
+
+    def test_checkpoint_with_removed_config_keys_still_loads(self, dataset, tmp_path):
+        """A checkpoint whose config snapshot still has REMOVED_KEYS resumes
+        and evaluates exactly as one without them."""
+        cfg, data = dataset
+        for name in ("old", "new"):
+            cli.cmd_train(cfg, data, tmp_path / name)
+        path = tmp_path / "old" / cli.CHECKPOINT_NAME
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 8)
+        snapshot = json.loads(blob[12:12 + cfg_len])
+        snapshot.update(REMOVED_KEYS)
+        cfg_bytes = json.dumps(snapshot, sort_keys=True).encode()
+        path.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
+                         + cfg_bytes + blob[12 + cfg_len:])
+        longer = tiny_run_config(epochs=3)
+        for name in ("old", "new"):
+            run = tmp_path / name
+            cli.cmd_train(longer, data, run, resume_from=run / cli.CHECKPOINT_NAME)
+            cli.cmd_eval(longer, data, run, "nlq", checkpoint_path=run / cli.CHECKPOINT_NAME)
+        for f in (cli.TRAIN_LOG_NAME, "nlq_outcomes.csv", "report_nlq.json"):
+            assert (tmp_path / "old" / f).read_bytes() == (tmp_path / "new" / f).read_bytes()
 
     def test_loaded_tensors_are_handed_over(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -386,8 +441,7 @@ class TestEval:
 
     def test_eval_ignores_optimizer_fields(self, dataset, trained, tmp_path):
         cfg, data = dataset
-        other = tiny_run_config(lr=2e-3, beta1=0.8, beta2=0.99, epsilon=1e-6,
-                                batch_size=3, freeze_intervals=True)
+        other = tiny_run_config(lr=2e-3, batch_size=3, freeze_intervals=True)
         for task in ("recognition", "nlq"):
             a = cli.cmd_eval(cfg, data, tmp_path / "a", task, checkpoint_path=trained)
             b = cli.cmd_eval(other, data, tmp_path / "b", task, checkpoint_path=trained)
@@ -463,7 +517,18 @@ class TestMainEntry:
         assert rc == 2
         assert "error: config:" in captured.err
 
-    @pytest.mark.parametrize("entry", ['"fps": "6"', '"epochs": true', '"nlq_topk": "1"'])
+    @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+    def test_removed_config_key_is_unknown(self, tmp_path, capsys, key):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({key: REMOVED_KEYS[key]}))
+        rc = cli.main(["generate", "--config", str(old), "--out", str(tmp_path / "x")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: config: unknown config keys"), captured.err
+        assert key in captured.err
+
+    @pytest.mark.parametrize("entry", ['"fps": "6"', '"epochs": true', '"nlq_topk": "1"',
+                                       '"lr": "0.001"'])
     def test_mistyped_config_value(self, tmp_path, capsys, entry):
         bad = tmp_path / "bad.json"
         bad.write_text("{%s}" % entry)
@@ -474,9 +539,15 @@ class TestMainEntry:
         assert entry.split(":")[0].strip('"') in captured.err
 
 
+def _load_chunk(path: Path) -> datagen.VideoRecord:
+    """A chunk of a tiny_run_config dataset, each chunk_seconds long."""
+    cfg = tiny_run_config()
+    return datagen.load(path, "c", cfg.chunk_seconds, cfg.fps)
+
+
 def _first_narrated_chunk(data: Path) -> Path:
     for path in sorted((data / "chunks").iterdir()):
-        if datagen.load(path, "c", 1.0, 1).narrations:
+        if _load_chunk(path).narrations:
             return path
     raise AssertionError("no chunk with narrations")
 
@@ -506,7 +577,7 @@ def _rewrite_manifest(edit):
 
 def _wider_features(data: Path):
     path = _first_narrated_chunk(data)
-    rec = datagen.load(path, "c", 1.0, 1)
+    rec = _load_chunk(path)
     rec.features = np.hstack([rec.features, rec.features[:, :1]])
     datagen.store(rec, path)
 
@@ -576,3 +647,96 @@ def test_unreadable_dataset_file_is_a_clean_error(dataset, tmp_path, capsys,
     assert rc == 2
     assert err.startswith("error: io:"), err
     assert named in err
+
+
+def _checkpoint_frame_offsets(blob: bytes) -> tuple[list[int], list[int]]:
+    """Offsets of the bytes of a checkpoint's header (magic, version, config
+    block, counters) and tensor table, and of each payload's last byte."""
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    off = 12 + cfg_len + 20
+    (count,) = struct.unpack_from("<I", blob, off - 4)
+    frame, payload_ends = list(range(off)), []
+    for _ in range(count):
+        start = off
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        off += 4 + name_len
+        (ndim,) = struct.unpack_from("<I", blob, off)
+        shape = struct.unpack_from(f"<{ndim}I", blob, off + 4)
+        off += 4 + 4 * ndim
+        frame += range(start, off)
+        off += 8 * math.prod(shape)
+        payload_ends.append(off - 1)
+    assert off == len(blob)
+    return frame, payload_ends
+
+
+class TestFuzz:
+    """Every corrupted file ends in a MomentSetError or loads cleanly; any
+    other exception fails the test."""
+
+    def test_checkpoint_bit_flip_sweep(self, dataset, tmp_path, capsys):
+        cfg = tiny_run_config(enc_layers=0, dec_layers=0)
+        model = cli.build_model(cfg)
+        good = tmp_path / "good.malc"
+        ckpt.save_checkpoint(good, cfg, model, cli.build_optimizer(cfg, model), 1)
+        blob = good.read_bytes()
+        frame, payload_ends = _checkpoint_frame_offsets(blob)
+        path = tmp_path / "flipped.malc"
+        typed = 0
+        for i in frame + payload_ends:
+            for bit in (0, 7):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                path.write_bytes(flipped)
+                target = cli.restore_target(cfg)
+                try:
+                    ckpt.restore(ckpt.load_checkpoint(path), cfg, target,
+                                 cli.build_optimizer(cfg, target))
+                except MomentSetError:
+                    typed += 1
+        assert typed > len(frame)  # most flips of the frame are caught
+
+        path.write_bytes(b"MALD" + blob[4:])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        rc = cli.main(["eval", "--config", str(cfg_path), "--data", str(dataset[1]),
+                       "--out", str(tmp_path / "o"), "--checkpoint", str(path),
+                       "--task", "nlq"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: format:") and "flipped.malc" in err, err
+
+    def test_chunk_corruption_sweep(self, tmp_path, capsys):
+        """Every truncation of a chunk file, and every bit flip of its header
+        and narration block, run through training."""
+        cfg = tiny_run_config(videos=1, epochs=1)
+        data = tmp_path / "data"
+        cli.cmd_generate(cfg, data)
+        path = _first_narrated_chunk(data)
+        blob = path.read_bytes()
+        _, _, T, C = struct.unpack_from("<4sIII", blob, 0)
+        cases = [blob[:n] for n in range(len(blob))]
+        for i in (*range(16), *range(16 + T * C * 4, len(blob))):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                cases.append(bytes(flipped))
+        typed = 0
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                cli.cmd_train(cfg, data, tmp_path / "run")
+            except MomentSetError:
+                typed += 1
+        assert typed > len(blob)  # every truncation, and more
+
+        t_offset = 16 + T * C * 4 + 4 + 4  # the first narration's t
+        path.write_bytes(blob[:t_offset] + struct.pack("<d", math.nan)
+                         + blob[t_offset + 8:])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(data),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: io:") and path.name in err, err

@@ -5,6 +5,7 @@ from momentset import datagen
 from momentset.datagen import ConceptVocabulary, Narration, VideoRecord
 from momentset.errors import (
     BadMagicError,
+    FeatureStoreError,
     GenerationError,
     TruncatedFileError,
     VersionMismatchError,
@@ -136,6 +137,16 @@ class TestChunking:
         assert n.t == pytest.approx(10.0)
         assert (n.a, n.b) == (5.0, 15.0)
 
+    def test_timestamp_on_a_chunk_boundary_stays_in_its_chunk(self, vocab, tmp_path):
+        # 339.0 // 13.56 is 24, and 339.0 - 24 * 13.56 rounds to just above
+        # 13.56, the chunk's length
+        rec = datagen.generate_video(vocab, 1, 382.17, 1, 0.1, rng_seed=19)
+        rec.narrations = [Narration(0, 339.0, 338.0, 340.0)]
+        chunk = datagen.chunk_video(rec, 13.56)[24]
+        assert chunk.narrations[0].t == chunk.duration == 13.56
+        datagen.store(chunk, tmp_path / "c.maln")
+        datagen.load(tmp_path / "c.maln", chunk.video_id, chunk.duration, chunk.fps)
+
     def test_reassembly_exact(self, vocab):
         rec = datagen.generate_video(vocab, 3, 100.0, 6, 0.1, rng_seed=11)
         chunks = datagen.chunk_video(rec, 30.0)
@@ -188,3 +199,26 @@ class TestFeatureStore:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(TruncatedFileError):
             datagen.load(path, "x", 20.0, 6)
+
+    @pytest.mark.parametrize("j, field, value", [
+        (0, "t", float("nan")), (0, "t", -5.0), (2, "t", 1e300), (2, "t", 20.5),
+        (1, "t", 1.0), (0, "a", float("inf")), (1, "b", float("nan")),
+    ], ids=["t_nan", "t_negative", "t_huge", "t_past_end", "t_out_of_order",
+            "a_inf", "b_nan"])
+    def test_bad_narration_time(self, vocab, tmp_path, j, field, value):
+        """Times that interval sampling cannot draw between are refused at
+        load, naming the file."""
+        rec = datagen.generate_video(vocab, 3, 20.0, 6, 0.1, rng_seed=17)
+        setattr(rec.narrations[j], field, value)
+        path = tmp_path / "x.maln"
+        datagen.store(rec, path)
+        with pytest.raises(FeatureStoreError, match="x.maln.*narration times"):
+            datagen.load(path, "x", 20.0, 6)
+
+    def test_narration_times_at_the_bounds_load(self, vocab, tmp_path):
+        rec = datagen.generate_video(vocab, 3, 20.0, 6, 0.1, rng_seed=18)
+        for n, t in zip(rec.narrations, (0.0, 0.0, 20.0)):
+            n.t = t
+        path = tmp_path / "x.maln"
+        datagen.store(rec, path)
+        assert records_equal(rec, datagen.load(path, rec.video_id, 20.0, 6))

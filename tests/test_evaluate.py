@@ -25,22 +25,20 @@ class TestRecognitionScores:
     def test_perfect_alignment(self):
         rng = np.random.default_rng(0)
         classes = unit_rows(rng, 3, 8)
-        pred = pred_from(np.tile(classes[1], (4, 1)))
-        scores = evaluate.recognition_scores(pred, classes)
+        scores = evaluate.recognition_scores(np.tile(classes[1], (4, 1)), classes)
         assert scores[1] == pytest.approx(1.0)
         assert abs(scores[0]) < 1.0
 
     def test_orthogonal_class_scores_zero(self):
         e = np.eye(4)
-        pred = pred_from(e[:2])
-        scores = evaluate.recognition_scores(pred, e[3:4])
+        scores = evaluate.recognition_scores(e[:2], e[3:4])
         assert scores[0] == pytest.approx(0.0)
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(1)
         visual = unit_rows(rng, 5, 6)
         classes = unit_rows(rng, 3, 6)
-        scores = evaluate.recognition_scores(pred_from(visual), classes)
+        scores = evaluate.recognition_scores(visual, classes)
         for c in range(3):
             expect = np.mean([visual[i] @ classes[c] for i in range(5)])
             assert scores[c] == pytest.approx(expect, abs=1e-12)
@@ -49,10 +47,9 @@ class TestRecognitionScores:
         rng = np.random.default_rng(2)
         visual = unit_rows(rng, 4, 6)
         u, v = rng.standard_normal((2, 6))
-        pred = pred_from(visual)
-        su = evaluate.recognition_scores(pred, u[None])[0]
-        sv = evaluate.recognition_scores(pred, v[None])[0]
-        suv = evaluate.recognition_scores(pred, (u + v)[None])[0]
+        su = evaluate.recognition_scores(visual, u[None])[0]
+        sv = evaluate.recognition_scores(visual, v[None])[0]
+        suv = evaluate.recognition_scores(visual, (u + v)[None])[0]
         assert suv == pytest.approx(su + sv, abs=1e-10)
 
 
@@ -111,14 +108,14 @@ class TestNlqInfer:
     def test_exact_match_ranks_first(self):
         rng = np.random.default_rng(5)
         visual = unit_rows(rng, 4, 6)
-        order, _ = evaluate.rank_queries(pred_from(visual), visual[2])
+        order, _ = evaluate.rank_queries(visual, visual[2])
         assert order[0] == 2
 
     def test_ranking_matches_sort(self):
         rng = np.random.default_rng(6)
         visual = unit_rows(rng, 8, 6)
         q = unit_rows(rng, 1, 6)[0]
-        order, sims = evaluate.rank_queries(pred_from(visual), q)
+        order, sims = evaluate.rank_queries(visual, q)
         np.testing.assert_array_equal(order, np.argsort(-sims, kind="stable"))
 
     def test_decoded_intervals_and_swap(self):
@@ -149,7 +146,7 @@ class TestNlqInfer:
         for q in [basis[0], basis[2], unit_rows(rng, 1, 6)[0]]:
             expect = []
             for k, (pred, duration) in enumerate(zip(preds, durations)):
-                order, sims = evaluate.rank_queries(pred, q)
+                order, sims = evaluate.rank_queries(pred.visual.data, q)
                 for i in order:
                     s = table.decode_timestamp(pred.te_start.data[i], duration)
                     e = table.decode_timestamp(pred.te_end.data[i], duration)
