@@ -21,17 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import BadMagicError, CheckpointError, TruncatedFileError, VersionMismatchError
-from .model import ModelConfig, MomentSetModel
+from .errors import (BadMagicError, CheckpointError, ConfigError, TruncatedFileError,
+                     VersionMismatchError)
+from .model import ModelConfig, MomentSetModel, param_shapes
 from .optim import Adam
 
 MAGIC = b"MALC"
 VERSION = 1
 
-# RunConfig fields a checkpoint must share with the run that restores it:
-# the model, and for a resumed run also the optimizer schedule. The dataset,
-# the epoch count and workers may differ. Fields are read by name, so keys
-# that a config snapshot has and RunConfig no longer does are ignored.
+# Eval builds its model from the snapshot's model fields (load_model); a
+# resumed run must also share the optimizer schedule (restore). Fields are
+# read by name, so keys that a snapshot has and RunConfig no longer does are
+# ignored.
 MODEL_FIELDS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 IDENTITY_FIELDS = (*MODEL_FIELDS, "lr", "batch_size", "freeze_intervals")
 
@@ -82,9 +83,13 @@ def _unpack(f, size: int, fmt: str, path, what: str):
     return struct.unpack(fmt, f.read(n))
 
 
-def load_checkpoint(path) -> CheckpointData:
+def load_checkpoint(path, moments: bool = True) -> CheckpointData:
     """Read each tensor once, into its own array; every size is checked
-    against the rest of the file before any read or allocation."""
+    against the rest of the file before any read or allocation.
+
+    With ``moments=False`` the Adam moments ("opt.*") are size-checked the
+    same way and then skipped unread, so ``tensors`` holds the model only.
+    """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         magic, version, cfg_len = _unpack(f, size, "<4sII", path, "header")
@@ -107,8 +112,12 @@ def load_checkpoint(path) -> CheckpointData:
             name = name_bytes.decode("utf-8", errors="replace")
             (ndim,) = _unpack(f, size, "<I", path, "tensor table")
             shape = _unpack(f, size, f"<{ndim}I", path, "tensor table")
-            if size - f.tell() < 8 * math.prod(shape):
+            nbytes = 8 * math.prod(shape)
+            if size - f.tell() < nbytes:
                 raise TruncatedFileError(f"{path}: truncated payload for '{name}'")
+            if not moments and name.startswith("opt."):
+                f.seek(nbytes, os.SEEK_CUR)
+                continue
             try:
                 arr = np.empty(shape, dtype="<f8")
             except ValueError as e:  # more axes than numpy supports
@@ -119,32 +128,64 @@ def load_checkpoint(path) -> CheckpointData:
     return CheckpointData(config, epochs_done, step, tensors)
 
 
+def _check_tensor(data: CheckpointData, key: str, shape: tuple):
+    if key not in data.tensors:
+        raise CheckpointError(f"checkpoint is missing tensor '{key}'")
+    if data.tensors[key].shape != shape:
+        raise CheckpointError(f"shape mismatch for tensor '{key}'")
+
+
+def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
+    """The model a checkpoint holds, for eval: ``config`` with its
+    ModelConfig fields replaced by the snapshot's, and a model of that
+    config holding the checkpoint's parameters. Adam moments are skipped
+    unread.
+
+    Raises CheckpointError when the snapshot lacks a model field, has one
+    of the wrong type or fails ``validate``, or when the tensor table's
+    parameters are not exactly that model's names and shapes. All of it is
+    checked before any model array is allocated.
+    """
+    data = load_checkpoint(path, moments=False)
+    try:  # a missing field reads as None, which from_dict rejects by type
+        config = RunConfig.from_dict(
+            {**config.to_dict(), **{k: data.config.get(k) for k in MODEL_FIELDS}})
+        config.validate()
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
+    names = set()
+    for name, shape in param_shapes(config):
+        _check_tensor(data, name, shape)
+        names.add(name)
+    extra = sorted(data.tensors.keys() - names)
+    if extra:
+        raise CheckpointError(f"{path}: {len(extra)} tensors, first '{extra[0]}', "
+                              "are not in the snapshot's model")
+    model = MomentSetModel(config.model_config(), rng=None)
+    for name, p in model.params.items():
+        p.data = data.tensors[name]
+    return config, model
+
+
 def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
-            optimizer: Adam | None = None):
-    """Load checkpointed tensors into an existing model, and into its
-    optimizer when one is given.
+            optimizer: Adam):
+    """Load a checkpoint into the model and optimizer of a resumed run.
 
     Takes ownership of ``data``'s arrays: the model and the optimizer hold
     them afterwards, uncopied, so ``data`` must not be restored again. The
-    ModelConfig fields of the two configs must match, and with an optimizer
-    all of IDENTITY_FIELDS. Every tensor is checked before any is assigned,
-    so a bad checkpoint changes nothing.
+    IDENTITY_FIELDS of the snapshot and ``config`` must match. Every
+    parameter and moment is checked before any is assigned, so a bad
+    checkpoint changes nothing.
     """
-    fields = MODEL_FIELDS if optimizer is None else IDENTITY_FIELDS
-    differ = [k for k in fields if data.config.get(k) != getattr(config, k)]
+    differ = [k for k in IDENTITY_FIELDS if data.config.get(k) != getattr(config, k)]
     if differ:
         raise CheckpointError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
-    prefixes = ("",) if optimizer is None else ("", "opt.m.", "opt.v.")
     for name, p in model.params.items():
-        for key in (prefix + name for prefix in prefixes):
-            if key not in data.tensors:
-                raise CheckpointError(f"checkpoint is missing tensor '{key}'")
-            if data.tensors[key].shape != p.data.shape:
-                raise CheckpointError(f"shape mismatch for tensor '{key}'")
+        for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
+            _check_tensor(data, key, p.data.shape)
     for name, p in model.params.items():
         p.data = data.tensors[name]
-    if optimizer is not None:
-        optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}
-        optimizer.v = {k: data.tensors[f"opt.v.{k}"] for k in model.params}
-        optimizer.step_count = data.step
+    optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}
+    optimizer.v = {k: data.tensors[f"opt.v.{k}"] for k in model.params}
+    optimizer.step_count = data.step

@@ -182,7 +182,7 @@ def build_model(config: RunConfig) -> MomentSetModel:
 
 
 def restore_target(config: RunConfig) -> MomentSetModel:
-    """A model for a checkpoint to fill: its weights are allocated, not drawn."""
+    """A model for a resumed run's checkpoint to fill: weights allocated, not drawn."""
     return MomentSetModel(config.model_config(), rng=None)
 
 
@@ -351,19 +351,20 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
 
 
 def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
-             checkpoint_path: Path | None = None,
-             video_ids: list[str] | None = None) -> dict:
+             checkpoint_path: Path, video_ids: list[str] | None = None) -> dict:
+    """Evaluate the model in ``checkpoint_path`` zero-shot on ``task``.
+
+    The model and the model fields of the report's config come from the
+    checkpoint's snapshot (checkpoint.load_model); those of ``config`` are
+    ignored, so the scores depend only on the checkpoint and the dataset.
+    """
     config.validate()
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, vocab, videos = load_dataset(data_dir, video_ids)
-    if checkpoint_path is None:
-        model = build_model(config)
-    else:
-        model = restore_target(config)
-        ckpt.restore(ckpt.load_checkpoint(checkpoint_path), config, model)
+    config, model = ckpt.load_model(checkpoint_path, config)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)
     else:
@@ -414,7 +415,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--checkpoint", type=Path)
+    p.add_argument("--checkpoint", type=Path, required=True,
+                   help="checkpoint to evaluate; its snapshot sets the model fields")
     p.add_argument("--task", choices=["recognition", "nlq"], required=True)
     return parser
 

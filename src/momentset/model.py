@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, InputTooShortError
+from .errors import ConfigError, InputTooShortError, ShapeError
 from .temporal import TemporalTable
 from .tensor import Tensor
 
@@ -46,8 +46,12 @@ class ModelConfig:
                 f"({self.model_dim})")
         if self.model_dim % 2 != 0:
             problems.append(f"model_dim must be even, got {self.model_dim}")
-        if self.conv_kernel < 1:
-            problems.append("conv_kernel must be >= 1")
+        if min(self.feature_dim, self.model_dim, self.heads, self.head_dim,
+               self.ffn_hidden, self.conv_kernel) < 1:
+            problems.append("feature_dim, model_dim, heads, head_dim, ffn_hidden and "
+                            "conv_kernel must be >= 1")
+        if min(self.enc_layers, self.dec_layers) < 0:
+            problems.append("enc_layers and dec_layers must be >= 0")
         if self.temporal_rows < 2:
             problems.append("temporal_rows must be >= 2")
         if self.queries < 1:
@@ -78,15 +82,70 @@ def _init_normal(shape, fan_in, rng):
     return rng.standard_normal(shape) / math.sqrt(fan_in)
 
 
-def _init_linear(params, name, fan_in, fan_out, rng):
-    params[f"{name}.w"] = Tensor(_init_normal((fan_in, fan_out), fan_in, rng),
-                                 requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(fan_out), requires_grad=True)
+def _linear_shapes(name, fan_in, fan_out):
+    yield f"{name}.w", (fan_in, fan_out)
+    yield f"{name}.b", (fan_out,)
 
 
-def _init_layernorm(params, name, dim):
-    params[f"{name}.g"] = Tensor(np.ones(dim), requires_grad=True)
-    params[f"{name}.b"] = Tensor(np.zeros(dim), requires_grad=True)
+def _layernorm_shapes(name, dim):
+    yield f"{name}.g", (dim,)
+    yield f"{name}.b", (dim,)
+
+
+def param_shapes(config: ModelConfig):
+    """Yield every parameter's (name, shape) in the model's order, which is
+    also the checkpoint's tensor order and the order of the init draws.
+
+    Lazy, so checking a config against a checkpoint's tensor table stops at
+    the first name the table lacks, however many layers the config claims.
+    """
+    c, d = config, config.model_dim
+    yield from _linear_shapes("conv", c.conv_kernel * c.feature_dim, d)
+    for i in range(c.enc_layers):
+        pre = f"enc.{i}"
+        yield from _layernorm_shapes(f"{pre}.ln1", d)
+        for w in ("wq", "wk", "wv", "wo"):
+            yield from _linear_shapes(f"{pre}.attn.{w}", d, d)
+        yield from _layernorm_shapes(f"{pre}.ln2", d)
+        yield from _linear_shapes(f"{pre}.ffn.fc1", d, c.ffn_hidden)
+        yield from _linear_shapes(f"{pre}.ffn.fc2", c.ffn_hidden, d)
+    yield "queries", (c.queries, d)
+    for i in range(c.dec_layers):
+        pre = f"dec.{i}"
+        yield from _layernorm_shapes(f"{pre}.ln1", d)
+        for w in ("wq", "wk", "wv", "wo"):
+            yield from _linear_shapes(f"{pre}.self.{w}", d, d)
+        yield from _layernorm_shapes(f"{pre}.ln2", d)
+        for w in ("wq", "wk", "wv", "wo"):
+            yield from _linear_shapes(f"{pre}.cross.{w}", d, d)
+        yield from _layernorm_shapes(f"{pre}.ln3", d)
+        yield from _linear_shapes(f"{pre}.ffn.fc1", d, c.ffn_hidden)
+        yield from _linear_shapes(f"{pre}.ffn.fc2", c.ffn_hidden, d)
+    yield from _linear_shapes("head.visual.fc1", d, c.ffn_hidden)
+    yield from _linear_shapes("head.visual.fc2", c.ffn_hidden, c.feature_dim)
+    yield from _linear_shapes("head.temporal.fc1", d, c.ffn_hidden)
+    yield from _linear_shapes("head.temporal.fc2", c.ffn_hidden, 2 * d)
+    yield "loss.log_t", ()
+    yield "loss.b", ()
+    yield "temporal.table", (c.temporal_rows, d)
+
+
+def _init_param(name, shape, config: ModelConfig, rng):
+    """A scaled normal draw for the weight matrices and the queries, ones
+    for LayerNorm gains, zeros for biases, and the sinusoidal table."""
+    if name == "queries":
+        return _init_normal(shape, config.model_dim, rng)
+    if name.endswith(".w"):
+        return _init_normal(shape, shape[0], rng)
+    if name.endswith(".g"):
+        return np.ones(shape)
+    if name == "loss.log_t":
+        return np.array(math.log(10.0))
+    if name == "loss.b":
+        return np.array(float(config.loss_bias_init))
+    if name == "temporal.table":
+        return TemporalTable.init_sinusoidal(*shape).table.data
+    return np.zeros(shape)
 
 
 def _linear(params, name, x: Tensor) -> Tensor:
@@ -127,39 +186,9 @@ class MomentSetModel:
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
         config.validate()
         self.config = config
-        c = config
-        p: dict[str, Tensor] = {}
-        _init_linear(p, "conv", c.conv_kernel * c.feature_dim, c.model_dim, rng)
-        for i in range(c.enc_layers):
-            pre = f"enc.{i}"
-            _init_layernorm(p, f"{pre}.ln1", c.model_dim)
-            for w in ("wq", "wk", "wv", "wo"):
-                _init_linear(p, f"{pre}.attn.{w}", c.model_dim, c.model_dim, rng)
-            _init_layernorm(p, f"{pre}.ln2", c.model_dim)
-            _init_linear(p, f"{pre}.ffn.fc1", c.model_dim, c.ffn_hidden, rng)
-            _init_linear(p, f"{pre}.ffn.fc2", c.ffn_hidden, c.model_dim, rng)
-        p["queries"] = Tensor(_init_normal((c.queries, c.model_dim), c.model_dim, rng),
-                              requires_grad=True)
-        for i in range(c.dec_layers):
-            pre = f"dec.{i}"
-            _init_layernorm(p, f"{pre}.ln1", c.model_dim)
-            for w in ("wq", "wk", "wv", "wo"):
-                _init_linear(p, f"{pre}.self.{w}", c.model_dim, c.model_dim, rng)
-            _init_layernorm(p, f"{pre}.ln2", c.model_dim)
-            for w in ("wq", "wk", "wv", "wo"):
-                _init_linear(p, f"{pre}.cross.{w}", c.model_dim, c.model_dim, rng)
-            _init_layernorm(p, f"{pre}.ln3", c.model_dim)
-            _init_linear(p, f"{pre}.ffn.fc1", c.model_dim, c.ffn_hidden, rng)
-            _init_linear(p, f"{pre}.ffn.fc2", c.ffn_hidden, c.model_dim, rng)
-        _init_linear(p, "head.visual.fc1", c.model_dim, c.ffn_hidden, rng)
-        _init_linear(p, "head.visual.fc2", c.ffn_hidden, c.feature_dim, rng)
-        _init_linear(p, "head.temporal.fc1", c.model_dim, c.ffn_hidden, rng)
-        _init_linear(p, "head.temporal.fc2", c.ffn_hidden, 2 * c.model_dim, rng)
-        p["loss.log_t"] = Tensor(np.array(math.log(10.0)), requires_grad=True)
-        p["loss.b"] = Tensor(np.array(float(c.loss_bias_init)), requires_grad=True)
-        self.params = p
-        self.temporal = TemporalTable.init_sinusoidal(c.temporal_rows, c.model_dim)
-        p["temporal.table"] = self.temporal.table
+        self.params = {name: Tensor(_init_param(name, shape, config, rng), requires_grad=True)
+                       for name, shape in param_shapes(config)}
+        self.temporal = TemporalTable(self.params["temporal.table"])
 
     # ------------------------------------------------------------------
     def param_count(self) -> int:
@@ -184,6 +213,10 @@ class MomentSetModel:
         """Non-overlap 1D conv: ... x T frames -> ... x floor(T/kernel) tokens."""
         c = self.config
         features = np.asarray(features, dtype=np.float64)
+        if features.shape[-1] != c.feature_dim:
+            raise ShapeError(
+                f"features are {features.shape[-1]} wide, model feature_dim is "
+                f"{c.feature_dim}")
         T = features.shape[-2]
         if T < c.conv_kernel:
             raise InputTooShortError(

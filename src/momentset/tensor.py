@@ -248,9 +248,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.data.shape).copy(),)
 
     return _record(out, (a,), bwd)

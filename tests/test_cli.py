@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import resource
 import shutil
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from momentset.errors import (
     ConfigError,
     FeatureStoreError,
     MomentSetError,
+    ShapeError,
     TruncatedFileError,
 )
 from momentset.model import ModelConfig
@@ -44,6 +47,18 @@ def tree_digest(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def edit_snapshot(src: Path, dst: Path, edit):
+    """Write checkpoint ``src`` to ``dst`` with ``edit`` applied to its
+    config snapshot."""
+    blob = src.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    snapshot = json.loads(blob[12:12 + cfg_len])
+    edit(snapshot)
+    cfg_bytes = json.dumps(snapshot, sort_keys=True).encode()
+    dst.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
+                    + cfg_bytes + blob[12 + cfg_len:])
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("data")
@@ -66,6 +81,9 @@ class TestConfig:
             tiny_run_config(model_dim=7, heads=1, head_dim=7).validate()
         with pytest.raises(ConfigError, match="heads"):
             tiny_run_config(heads=3).validate()
+        for bad in ({"heads": -2, "head_dim": -4}, {"enc_layers": -1}, {"ffn_hidden": 0}):
+            with pytest.raises(ConfigError, match=">= "):
+                tiny_run_config(**bad).validate()
 
     def test_flat_schema_and_model_fields(self):
         assert sorted(RunConfig().to_dict()) == [
@@ -211,10 +229,32 @@ class TestTrain:
         path = tmp_path / "c.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         other = tiny_run_config(lr=5e-4)
-        with pytest.raises(CheckpointError, match="config"):
+        with pytest.raises(CheckpointError, match=r"config does not match.*\(lr\)"):
             ckpt.restore(ckpt.load_checkpoint(path), other,
                          cli.build_model(other),
                          cli.build_optimizer(other, cli.build_model(other)))
+
+    def test_restore_model_only_checks_model_fields(self, dataset, tmp_path):
+        """The eval load takes the model from the checkpoint whatever the
+        run's optimizer fields; a resume still rejects a differing model
+        field."""
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        path = tmp_path / "e.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        other = tiny_run_config(lr=2e-3, batch_size=3, freeze_intervals=True)
+        loaded, target = ckpt.load_model(path, other)
+        assert (loaded.lr, loaded.batch_size, loaded.freeze_intervals) == (2e-3, 3, True)
+        assert sorted(target.params) == sorted(model.params)
+        for k, p in model.params.items():
+            np.testing.assert_array_equal(target.params[k].data, p.data)
+        for change, field in (({"loss_bias_init": 0.0}, "loss_bias_init"),
+                              ({"queries": 5}, "queries")):
+            other = tiny_run_config(**change)
+            with pytest.raises(CheckpointError, match=rf"config does not match.*\({field}\)"):
+                ckpt.restore(ckpt.load_checkpoint(path), other,
+                             cli.build_model(other),
+                             cli.build_optimizer(other, cli.build_model(other)))
 
     def test_restore_ignores_runtime_fields(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -227,30 +267,6 @@ class TestTrain:
             ckpt.restore(ckpt.load_checkpoint(path), other, model2,
                          cli.build_optimizer(other, model2))
 
-    def test_restore_model_only_checks_model_fields(self, dataset, tmp_path):
-        cfg, _ = dataset
-        model = cli.build_model(cfg)
-        path = tmp_path / "e.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
-        other = tiny_run_config(lr=2e-3, batch_size=3, freeze_intervals=True)
-        data = ckpt.load_checkpoint(path)
-        for key in list(data.tensors):
-            if key.startswith("opt."):
-                del data.tensors[key]  # a model-only restore needs no moments
-        target = cli.build_model(other)
-        for p in target.params.values():
-            p.data = p.data + 1.0
-        ckpt.restore(data, other, target)
-        for k, p in model.params.items():
-            np.testing.assert_array_equal(target.params[k].data, p.data)
-        for change, field in (({"loss_bias_init": 0.0}, "loss_bias_init"),
-                              ({"queries": 5}, "queries")):
-            other = tiny_run_config(**change)
-            for optimizer in (None, cli.build_optimizer(other, cli.build_model(other))):
-                with pytest.raises(CheckpointError, match=field):
-                    ckpt.restore(ckpt.load_checkpoint(path), other,
-                                 cli.build_model(other), optimizer)
-
     def test_checkpoint_with_removed_config_keys_still_loads(self, dataset, tmp_path):
         """A checkpoint whose config snapshot still has REMOVED_KEYS resumes
         and evaluates exactly as one without them."""
@@ -258,13 +274,7 @@ class TestTrain:
         for name in ("old", "new"):
             cli.cmd_train(cfg, data, tmp_path / name)
         path = tmp_path / "old" / cli.CHECKPOINT_NAME
-        blob = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", blob, 8)
-        snapshot = json.loads(blob[12:12 + cfg_len])
-        snapshot.update(REMOVED_KEYS)
-        cfg_bytes = json.dumps(snapshot, sort_keys=True).encode()
-        path.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
-                         + cfg_bytes + blob[12 + cfg_len:])
+        edit_snapshot(path, path, lambda snapshot: snapshot.update(REMOVED_KEYS))
         longer = tiny_run_config(epochs=3)
         for name in ("old", "new"):
             run = tmp_path / name
@@ -468,10 +478,64 @@ class TestEval:
         cli.cmd_train(tiny_run_config(epochs=3), data, tmp_path,
                       resume_from=tmp_path / cli.CHECKPOINT_NAME)
 
-    def test_unknown_task_rejected(self, dataset, tmp_path):
+    def test_model_fields_come_from_the_snapshot(self, dataset, trained, tmp_path):
+        cfg, data = dataset
+        other = tiny_run_config(feature_dim=16, model_dim=18, conv_kernel=3, enc_layers=2,
+                                dec_layers=0, heads=3, head_dim=6, queries=5,
+                                temporal_rows=9, ffn_hidden=7, loss_bias_init=0.0)
+        assert all(getattr(other, k) != getattr(cfg, k) for k in ckpt.MODEL_FIELDS)
+        for task in ("recognition", "nlq"):
+            cli.cmd_eval(cfg, data, tmp_path / "a", task, checkpoint_path=trained)
+            cli.cmd_eval(other, data, tmp_path / "b", task, checkpoint_path=trained)
+        a, b = tree_digest(tmp_path / "a"), tree_digest(tmp_path / "b")
+        assert sorted(a) == ["nlq_outcomes.csv", "report_nlq.json", "report_recognition.json"]
+        assert a == b
+
+    @pytest.mark.parametrize("edit", [
+        lambda snapshot: snapshot.pop("heads"),
+        lambda snapshot: snapshot.update(queries="4"),
+        lambda snapshot: snapshot.update(heads=3),
+        lambda snapshot: snapshot.update(enc_layers=100000),
+        lambda snapshot: snapshot.update(temporal_rows=10 ** 8),
+        lambda snapshot: snapshot.update(dec_layers=0),
+        lambda snapshot: snapshot.update(heads=-2, head_dim=-4),
+    ], ids=["missing_field", "mistyped_field", "heads_x_head_dim", "enc_layers_1e5",
+            "temporal_rows_1e8", "fewer_layers_than_the_file", "negative_heads"])
+    def test_bad_snapshot_is_a_checkpoint_error(self, dataset, trained, tmp_path,
+                                                capsys, edit):
+        cfg, data = dataset
+        path = tmp_path / "bad.malc"
+        edit_snapshot(trained, path, edit)
+        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        t0 = time.perf_counter()
+        with pytest.raises(CheckpointError):
+            ckpt.load_model(path, cfg)
+        seconds = time.perf_counter() - t0
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_kb
+        # rejected before the model the snapshot claims is allocated
+        assert seconds < 0.5 and grown_kb < 20_000, (seconds, grown_kb)
+        rc = cli.main(["eval", "--data", str(data), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(path), "--task", "nlq"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: io:"), err
+
+    def test_dataset_of_another_feature_width(self, dataset, trained, tmp_path, capsys):
+        cfg, _ = dataset
+        wide = tmp_path / "wide"
+        cli.cmd_generate(tiny_run_config(feature_dim=16), wide)
+        rc = cli.main(["eval", "--data", str(wide), "--out", str(tmp_path / "o"),
+                       "--checkpoint", str(trained), "--task", "recognition"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: shape:") and "feature_dim" in err, err
+        with pytest.raises(ShapeError, match="feature_dim"):
+            cli.cmd_train(cfg, wide, tmp_path / "run")
+
+    def test_unknown_task_rejected(self, dataset, trained, tmp_path):
         cfg, data = dataset
         with pytest.raises(ConfigError, match="task"):
-            cli.cmd_eval(cfg, data, tmp_path, "segmentation")
+            cli.cmd_eval(cfg, data, tmp_path, "segmentation", checkpoint_path=trained)
 
 
 class TestMainEntry:
@@ -501,9 +565,10 @@ class TestMainEntry:
                        "--checkpoint", str(trained), "--task", "nlq"])
         assert rc == 0, capsys.readouterr().err
 
-    def test_missing_dataset_dir(self, tmp_path, capsys):
+    def test_missing_dataset_dir(self, trained, tmp_path, capsys):
         rc = cli.main(["eval", "--data", str(tmp_path / "nope"),
-                       "--out", str(tmp_path / "o"), "--task", "nlq"])
+                       "--out", str(tmp_path / "o"), "--checkpoint", str(trained),
+                       "--task", "nlq"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "not a dataset directory" in captured.err
@@ -635,14 +700,14 @@ def _first_chunk_file(data: Path) -> Path:
     (lambda data: (data / cli.VOCAB_NAME).write_bytes(b"not a zip"), cli.VOCAB_NAME),
     (lambda data: _first_chunk_file(data).unlink(), ".maln"),
 ], ids=["vocab_missing", "vocab_garbage", "chunk_missing"])
-def test_unreadable_dataset_file_is_a_clean_error(dataset, tmp_path, capsys,
+def test_unreadable_dataset_file_is_a_clean_error(dataset, trained, tmp_path, capsys,
                                                   corrupt, named):
     cfg, data = dataset
     bad = tmp_path / "data"
     shutil.copytree(data, bad)
     corrupt(bad)
     rc = cli.main(["eval", "--data", str(bad), "--out", str(tmp_path / "o"),
-                   "--task", "nlq"])
+                   "--checkpoint", str(trained), "--task", "nlq"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: io:"), err
@@ -682,7 +747,7 @@ class TestFuzz:
         blob = good.read_bytes()
         frame, payload_ends = _checkpoint_frame_offsets(blob)
         path = tmp_path / "flipped.malc"
-        typed = 0
+        typed = typed_eval = 0
         for i in frame + payload_ends:
             for bit in (0, 7):
                 flipped = bytearray(blob)
@@ -694,7 +759,12 @@ class TestFuzz:
                                  cli.build_optimizer(cfg, target))
                 except MomentSetError:
                     typed += 1
+                try:  # the eval load
+                    ckpt.load_model(path, cfg)
+                except MomentSetError:
+                    typed_eval += 1
         assert typed > len(frame)  # most flips of the frame are caught
+        assert typed_eval > len(frame)
 
         path.write_bytes(b"MALD" + blob[4:])
         cfg_path = tmp_path / "cfg.json"
