@@ -18,7 +18,7 @@ from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig, is_number
 from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
-from .model import MomentSetModel
+from .model import MomentPrediction, MomentSetModel
 from .optim import Adam
 from .temporal import TemporalTable
 
@@ -256,7 +256,8 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _video_prediction_chunks(model, chunks):
+def _video_prediction_chunks(model, chunks) -> MomentPrediction:
+    """The video's chunks as one stacked prediction; row k is chunk k."""
     with tt.no_grad():
         return model.forward_chunks([c.features for c in chunks])
 
@@ -267,9 +268,8 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
     scores = np.zeros((len(vids), vocab.size))
     labels = np.zeros((len(vids), vocab.size), dtype=bool)
     for r, vid in enumerate(vids):
-        preds = _video_prediction_chunks(model, videos[vid])
-        per_chunk = [evaluate.recognition_scores(p.visual.data, vocab.vectors)
-                     for p in preds]
+        visual = _video_prediction_chunks(model, videos[vid]).visual.data
+        per_chunk = [evaluate.recognition_scores(v, vocab.vectors) for v in visual]
         scores[r] = np.mean(per_chunk, axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
     return {"task": "recognition",
@@ -282,9 +282,11 @@ def decode_video_spans(table: TemporalTable, preds, durations,
                        chunk_seconds: float) -> np.ndarray:
     """Every query slot's (start, end) on the global timeline; (sum N) x 2.
 
-    Each chunk's start and end embeddings are decoded together in one call,
-    re-based by the chunk offset and swapped where start > end. Rows are
-    chunk-major, then slot order, matching the concatenated visual rows.
+    ``preds`` holds one prediction per chunk: a list, or the rows of a
+    stacked prediction. Each chunk's start and end embeddings are decoded
+    together in one call, re-based by the chunk offset and swapped where
+    start > end. Rows are chunk-major, then slot order, matching the
+    concatenated visual rows.
     """
     spans = []
     for k, (pred, duration) in enumerate(zip(preds, durations)):
@@ -317,7 +319,7 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
         meta = manifest["videos"][vid]
         chunks = videos[vid]
         preds = _video_prediction_chunks(model, chunks)
-        visual = np.vstack([p.visual.data for p in preds])
+        visual = preds.visual.data.reshape(-1, preds.visual.data.shape[-1])
         spans = decode_video_spans(model.temporal, preds,
                                    [c.duration for c in chunks], meta["chunk_seconds"])
         for n in meta["narrations"]:

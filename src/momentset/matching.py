@@ -25,9 +25,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class GroundTruthSet:
-    lang: Tensor       # M x C, unit rows (concept vectors)
-    te_start: Tensor   # M x d, unit rows
-    te_end: Tensor     # M x d, unit rows
+    lang: Tensor       # [B x] M x C, unit rows (concept vectors)
+    te_start: Tensor   # [B x] M x d, unit rows
+    te_end: Tensor     # [B x] M x d, unit rows
 
 
 @dataclass
@@ -43,21 +43,27 @@ def _check_unit_rows(data: np.ndarray, what: str):
                             f"{np.max(np.abs(norms - 1.0)):.2e})")
 
 
+def _swap_last(t: Tensor) -> Tensor:
+    n = t.data.ndim
+    return tt.transpose(t, (*range(n - 2), n - 1, n - 2))
+
+
 def similarity_matrices(pred: MomentPrediction, gt: GroundTruthSet):
-    """Three N x M cosine matrices: (visual, lang), (start, start), (end, end)."""
+    """Three [B x] N x M cosine matrices: (visual, lang), (start, start),
+    (end, end); one (batched) matmul each."""
     for t, what in ((pred.visual, "pred.visual"), (pred.te_start, "pred.te_start"),
                     (pred.te_end, "pred.te_end"), (gt.lang, "gt.lang"),
                     (gt.te_start, "gt.te_start"), (gt.te_end, "gt.te_end")):
         _check_unit_rows(t.data, what)
     return (
-        tt.matmul(pred.visual, tt.transpose(gt.lang)),
-        tt.matmul(pred.te_start, tt.transpose(gt.te_start)),
-        tt.matmul(pred.te_end, tt.transpose(gt.te_end)),
+        tt.matmul(pred.visual, _swap_last(gt.lang)),
+        tt.matmul(pred.te_start, _swap_last(gt.te_start)),
+        tt.matmul(pred.te_end, _swap_last(gt.te_end)),
     )
 
 
 def build_cost(sims) -> np.ndarray:
-    """cost[i, j] = -sigmoid(s1) * sigmoid(s2) * sigmoid(s3), entry-wise.
+    """cost[..., i, j] = -sigmoid(s1) * sigmoid(s2) * sigmoid(s3), entry-wise.
 
     Raw cosines through plain sigmoids; no temperature here.
     """
@@ -76,36 +82,71 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     return assignment
 
 
-def sigmoid_contrastive_loss(sims, assignment: np.ndarray,
-                             scales: LossScales) -> Tensor:
+def _pair_masks(assignments, n: int, m: int):
+    """B x N x M masks of the matched pairs and of the real pairs: chunk b's
+    first ``len(assignments[b])`` columns; the rest are padding."""
+    matched = np.zeros((len(assignments), n, m), dtype=bool)
+    real = np.zeros_like(matched)
+    for b, assignment in enumerate(assignments):
+        matched[b, assignment, np.arange(len(assignment))] = True
+        real[b, :, :len(assignment)] = True
+    return matched, real
+
+
+def sigmoid_contrastive_loss(sims, assignment, scales: LossScales) -> Tensor:
     """SigLIP-style pairwise BCE summed over the three channels.
 
-    Matched pairs get label +1, everything else -1; per channel the loss is
-    the mean over all N*M pairs of -log(sigmoid(z * (t*s + b))).
+    Matched pairs get label +1, everything else -1. Per chunk and channel
+    the loss is the mean over the chunk's N*M pairs of
+    -log(sigmoid(z * (t*s + b))); chunks are averaged. For one chunk,
+    ``sims`` are N x M and ``assignment`` its index array; for a batch they
+    are B x N x Mmax and one index array per chunk, whose length M_b marks
+    the chunk's real columns. It is computed as one weighted sum over all
+    three channels, with weight 1 / (B * N * M_b) on real pairs and 0 on
+    padding.
     """
-    n, m = sims[0].data.shape
-    z = -np.ones((n, m))
-    z[assignment, np.arange(m)] = 1.0
-    z_t = Tensor(z)
-    t = tt.exp(scales.log_t)
-    total = None
-    for s in sims:
-        logits = t * s + scales.b
-        channel = tt.neg(tt.tmean(tt.log(tt.sigmoid(z_t * logits))))
-        total = channel if total is None else total + channel
-    return total
+    shape = sims[0].data.shape
+    assignments = [assignment] if len(shape) == 2 else assignment
+    matched, real = _pair_masks(assignments, *shape[-2:])
+    z = np.where(matched, 1.0, -1.0).reshape(shape)
+    weight = (real / (-len(assignments) * real.sum(axis=(1, 2), keepdims=True))).reshape(shape)
+    # the channels stack along the first axis: everything below is entry-wise
+    logits = tt.exp(scales.log_t) * tt.cat(sims) + scales.b
+    log_p = tt.log(tt.sigmoid(Tensor(np.concatenate([z] * 3)) * logits))
+    return tt.tsum(log_p * Tensor(np.concatenate([weight] * 3)))
+
+
+def batch_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
+                       chunks: list[VideoRecord],
+                       samples: list[list[MomentSample]]) -> GroundTruthSet:
+    """B x Mmax ground truth for chunks with at least one sample each.
+
+    A chunk with fewer samples is padded with copies of its first one, a
+    valid unit row whose similarities are those of a real column; the loss
+    gives padded columns weight 0. The start and end TEs of all chunks come
+    from one table interpolation, each chunk at its own duration, and one
+    normalisation.
+    """
+    m = max(len(s) for s in samples)
+    padded = [s + s[:1] * (m - len(s)) for s in samples]
+    times = np.array([[[x.start for x in s] for s in padded],
+                      [[x.end for x in s] for s in padded]])
+    te = tt.l2_normalize(model.temporal.embed_timestamps(
+        times, np.array([[c.duration] for c in chunks])))
+    shape = te.data.shape[1:]
+    return GroundTruthSet(Tensor(vocab.vectors[[[x.concept_id for x in s] for s in padded]]),
+                          tt.reshape(tt.narrow(te, 0, 0, 1), shape),
+                          tt.reshape(tt.narrow(te, 0, 1, 1), shape))
 
 
 def chunk_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
                        chunk: VideoRecord,
                        samples: list[MomentSample]) -> GroundTruthSet:
-    """Embed sampled intervals and look up concept vectors for one chunk."""
-    lang = Tensor(vocab.vectors[[s.concept_id for s in samples]])
-    starts = tt.l2_normalize(model.temporal.embed_timestamps(
-        [s.start for s in samples], chunk.duration))
-    ends = tt.l2_normalize(model.temporal.embed_timestamps(
-        [s.end for s in samples], chunk.duration))
-    return GroundTruthSet(lang, starts, ends)
+    """Embed sampled intervals and look up concept vectors for one chunk
+    (M x ...): the only row of a batch of one."""
+    gt = batch_ground_truth(model, vocab, [chunk], [samples])
+    return GroundTruthSet(*(tt.reshape(t, t.data.shape[1:])
+                            for t in (gt.lang, gt.te_start, gt.te_end)))
 
 
 def sample_chunk_intervals(chunk: VideoRecord,
@@ -114,25 +155,33 @@ def sample_chunk_intervals(chunk: VideoRecord,
             for j in range(len(chunk.narrations))]
 
 
+def batch_loss(model: MomentSetModel, vocab: ConceptVocabulary,
+               chunks: list[VideoRecord], samples: list[list[MomentSample]],
+               assignments: list[np.ndarray] | None = None):
+    """Forward, match and loss for a batch: the mean of the chunk losses.
+
+    One stacked forward, ground truth and similarity block for the whole
+    batch; only the assignment runs per chunk, on its unpadded N x M_b
+    slice. Pass fixed ``assignments`` to evaluate the loss as a smooth
+    function of the parameters (used by gradient checks).
+    """
+    pred = model.forward_chunks([c.features for c in chunks])
+    sims = similarity_matrices(pred, batch_ground_truth(model, vocab, chunks, samples))
+    if assignments is None:
+        cost = build_cost(sims)
+        assignments = [hungarian(cost[b, :, :len(s)]) for b, s in enumerate(samples)]
+    scales = LossScales(model.params["loss.log_t"], model.params["loss.b"])
+    return sigmoid_contrastive_loss(sims, assignments, scales), sims, assignments
+
+
 def chunk_loss(model: MomentSetModel, vocab: ConceptVocabulary,
                chunk: VideoRecord, samples: list[MomentSample],
-               assignment: np.ndarray | None = None,
-               pred: MomentPrediction | None = None):
-    """Forward + match + loss for one chunk.
-
-    Pass a fixed ``assignment`` to evaluate the loss as a smooth function of
-    the parameters (used by gradient checks), and the chunk's ``pred`` when
-    its forward already ran (as part of a stacked batch).
-    """
-    if pred is None:
-        pred = model.forward(chunk.features)
-    gt = chunk_ground_truth(model, vocab, chunk, samples)
-    sims = similarity_matrices(pred, gt)
-    if assignment is None:
-        assignment = hungarian(build_cost(sims))
-    scales = LossScales(model.params["loss.log_t"], model.params["loss.b"])
-    loss = sigmoid_contrastive_loss(sims, assignment, scales)
-    return loss, sims, assignment
+               assignment: np.ndarray | None = None):
+    """``batch_loss`` of a batch of one; returns its 1 x N x M similarities
+    and the chunk's assignment."""
+    loss, sims, assignments = batch_loss(
+        model, vocab, [chunk], [samples], None if assignment is None else [assignment])
+    return loss, sims, assignments[0]
 
 
 @dataclass
@@ -144,19 +193,20 @@ class StepStats:
     bias: float
 
 
-def _sim_means(sims, assignment):
-    matched, unmatched = [], []
-    m = len(assignment)
-    cols = np.arange(m)
-    for s in sims:
-        mask = np.zeros(s.data.shape, dtype=bool)
-        mask[assignment, cols] = True
-        matched.append(s.data[mask])
-        unmatched.append(s.data[~mask])
-    matched = np.concatenate(matched)
-    unmatched = np.concatenate(unmatched)
-    u_mean = float(unmatched.mean()) if unmatched.size else 0.0
-    return float(matched.mean()), u_mean
+def _sim_means(sims, assignments):
+    """Mean over chunks of each chunk's mean matched and mean unmatched
+    similarity over the three channels; 0.0 for a chunk with no unmatched
+    pair."""
+    s = np.stack([x.data for x in sims])  # 3 x B x N x Mmax
+    matched, real = _pair_masks(assignments, *s.shape[-2:])
+
+    def chunk_means(mask):
+        total = np.where(mask, s, 0.0).sum(axis=(0, 2, 3))
+        count = 3 * mask.sum(axis=(1, 2))
+        return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+
+    return (float(chunk_means(matched).mean()),
+            float(chunk_means(real & ~matched).mean()))
 
 
 def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
@@ -164,11 +214,11 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
                rng: np.random.Generator,
                fixed_samples: dict[str, list[MomentSample]] | None = None
                ) -> StepStats:
-    """One optimizer step on a batch of chunks (mean of per-chunk losses).
+    """One optimizer step on a batch of chunks (``batch_loss``).
 
-    The chunks' forwards run as one stacked pass (``forward_chunks``);
-    interval samples are drawn in chunk order before it. The tape is
-    cleared on every exit, a failed step included.
+    Chunks without narrations are skipped; interval samples are drawn in
+    chunk order before the forward. The tape is cleared on every exit, a
+    failed step included.
     """
     used, samples = [], []
     for chunk in chunks:
@@ -181,26 +231,17 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
     if not used:
         raise CapacityError("batch contained no chunk with narrations")
     try:
-        preds = model.forward_chunks([c.features for c in used])
-        total = None
-        matched_all, unmatched_all = [], []
-        for chunk, chunk_samples, pred in zip(used, samples, preds):
-            loss, sims, assignment = chunk_loss(
-                model, vocab, chunk, chunk_samples, pred=pred)
-            mm, um = _sim_means(sims, assignment)
-            matched_all.append(mm)
-            unmatched_all.append(um)
-            total = loss if total is None else total + loss
-        mean_loss = tt.scale(total, 1.0 / len(used))
+        loss, sims, assignments = batch_loss(model, vocab, used, samples)
+        matched, unmatched = _sim_means(sims, assignments)
         optimizer.zero_grad()
-        tt.backward(mean_loss)
+        tt.backward(loss)
         optimizer.step()
     finally:
         tt.clear_tape()
     return StepStats(
-        loss=mean_loss.item(),
-        matched_sim_mean=float(np.mean(matched_all)),
-        unmatched_sim_mean=float(np.mean(unmatched_all)),
+        loss=loss.item(),
+        matched_sim_mean=matched,
+        unmatched_sim_mean=unmatched,
         temperature=float(np.exp(model.params["loss.log_t"].data)),
         bias=float(model.params["loss.b"].data),
     )

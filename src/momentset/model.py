@@ -7,7 +7,7 @@ which the tests rely on.
 
 Every stage takes one chunk (T x C frames) or a stack of equal-length
 chunks (B x T x C); ``forward_chunks`` stacks chunks by length so a whole
-batch runs as one pass over one tape.
+batch runs as one pass over one tape and returns one stacked prediction.
 """
 from __future__ import annotations
 
@@ -68,11 +68,23 @@ class ModelConfig:
 
 @dataclass
 class MomentPrediction:
-    """The predicted moment set: unit-row visual and start/end TE matrices
-    (with a leading B axis when the forward was stacked)."""
-    visual: Tensor       # N x C
-    te_start: Tensor     # N x d
-    te_end: Tensor       # N x d
+    """The predicted moment set: unit-row visual and start/end TE matrices,
+    with a leading B axis when the forward was stacked.
+
+    A stack reads as a sequence of its chunks: ``len`` is B, and iteration
+    gives each chunk's N-row prediction as views of the stacked arrays, off
+    the tape (for eval and inspection).
+    """
+    visual: Tensor       # [B x] N x C
+    te_start: Tensor     # [B x] N x d
+    te_end: Tensor       # [B x] N x d
+
+    def __len__(self) -> int:
+        return self.visual.data.shape[0]
+
+    def __iter__(self):
+        for rows in zip(self.visual.data, self.te_start.data, self.te_end.data):
+            yield MomentPrediction(*map(Tensor, rows))
 
 
 def _init_normal(shape, fan_in, rng):
@@ -149,11 +161,11 @@ def _init_param(name, shape, config: ModelConfig, rng):
 
 
 def _linear(params, name, x: Tensor) -> Tensor:
-    return tt.matmul(x, params[f"{name}.w"]) + params[f"{name}.b"]
+    return tt.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
 
 def _layernorm(params, name, x: Tensor) -> Tensor:
-    return tt.layernorm(x) * params[f"{name}.g"] + params[f"{name}.b"]
+    return tt.layernorm(x, params[f"{name}.g"], params[f"{name}.b"])
 
 
 def _ffn(params, name, x: Tensor) -> Tensor:
@@ -168,11 +180,6 @@ def _split_heads(x: Tensor, heads: int, order=(1, 0, 2)) -> Tensor:
     n = len(lead)
     h = tt.reshape(x, (*lead, length, heads, d // heads))
     return tt.transpose(h, (*range(n), *(n + i for i in order)))
-
-
-def _stack_row(t: Tensor, b: int) -> Tensor:
-    """Row ``b`` of a stacked B x ... tensor, without the B axis."""
-    return tt.reshape(tt.narrow(t, 0, b, 1), t.data.shape[1:])
 
 
 class MomentSetModel:
@@ -263,25 +270,27 @@ class MomentSetModel:
         """T x C frames -> N-row predictions; B x T x C -> B x N rows."""
         return self.project(self.decode(self.encode(self.tokenize(features))))
 
-    def forward_chunks(self, features_list) -> list[MomentPrediction]:
-        """One prediction per chunk, in input order.
+    def forward_chunks(self, features_list) -> MomentPrediction:
+        """One stacked prediction whose row b is chunk b's (B x N x ...).
 
         Chunks with the same frame count run as one stacked forward. Chunks
         are grouped rather than padded, because each chunk's temporal
-        embeddings are interpolated to its own token count.
+        embeddings are interpolated to its own token count. With several
+        lengths, the groups' rows are concatenated and put back in input
+        order.
         """
         k = self.config.conv_kernel
         groups: dict[int, list[int]] = {}
         for i, features in enumerate(features_list):
             groups.setdefault(len(features), []).append(i)
-        preds: list[MomentPrediction | None] = [None] * len(features_list)
+        stacks = []
         for length, idx in groups.items():
             # stack whole conv windows only, so tokenize's window reshape is a
             # view; a chunk shorter than one window is left for tokenize to reject
             used = length - length % k if length >= k else length
-            stacked = self.forward(np.stack([features_list[i][:used] for i in idx]))
-            for b, i in enumerate(idx):
-                preds[i] = MomentPrediction(
-                    _stack_row(stacked.visual, b), _stack_row(stacked.te_start, b),
-                    _stack_row(stacked.te_end, b))
-        return preds
+            stacks.append(self.forward(np.stack([features_list[i][:used] for i in idx])))
+        if len(stacks) == 1:
+            return stacks[0]
+        rows = np.argsort(np.concatenate(list(groups.values())))  # chunk -> row
+        fields = zip(*((s.visual, s.te_start, s.te_end) for s in stacks))
+        return MomentPrediction(*(tt.take(tt.cat(list(f)), rows) for f in fields))

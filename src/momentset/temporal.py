@@ -23,16 +23,18 @@ def _interp_coords(coords: np.ndarray, rows: int):
 
 
 def interp_table_rows(table: Tensor, coords: np.ndarray) -> Tensor:
-    """Linear interpolation of table rows at continuous coordinates.
+    """Linear interpolation of table rows at continuous coordinates of any
+    shape; the result is coords.shape x d.
 
     Differentiable with respect to the table (scatter-add adjoint).
     """
-    rows = table.data.shape[0]
-    lo, hi, frac = _interp_coords(np.asarray(coords, dtype=np.float64), rows)
-    out = Tensor(kernels.interp_rows(table.data, lo, hi, frac))
+    rows, dim = table.data.shape
+    coords = np.asarray(coords, dtype=np.float64)
+    lo, hi, frac = _interp_coords(coords.reshape(-1), rows)
+    out = Tensor(kernels.interp_rows(table.data, lo, hi, frac).reshape(*coords.shape, dim))
 
     def bwd(g):
-        return (kernels.interp_rows_grad(g, lo, hi, frac, rows),)
+        return (kernels.interp_rows_grad(g.reshape(-1, dim), lo, hi, frac, rows),)
 
     return _record(out, (table,), bwd)
 
@@ -76,24 +78,29 @@ class TemporalTable:
             )
         return interp_table_rows(self.table, coords)
 
-    def _coord(self, t: float, duration: float) -> float:
-        if duration <= 0:
-            raise TimestampRangeError(f"duration must be positive, got {duration}")
-        if t < 0 or t > duration:
+    def _coords(self, ts, duration) -> np.ndarray:
+        """Row coordinates of timestamps; ``duration`` broadcasts against
+        ``ts``, so each row of a batch can have its own."""
+        t = np.asarray(ts, dtype=np.float64)
+        dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), t.shape)
+        # each test is written so that a NaN fails it
+        bad = ~(np.isfinite(dur) & (dur > 0))
+        if bad.any():
             raise TimestampRangeError(
-                f"timestamp {t} outside [0, {duration}]"
-            )
-        return (t / duration) * (self.rows - 1)
+                f"duration must be positive and finite, got {dur[bad][0]}")
+        bad = ~(np.isfinite(t) & (t >= 0) & (t <= dur))
+        if bad.any():
+            raise TimestampRangeError(
+                f"timestamp {t[bad][0]} outside [0, {dur[bad][0]}]")
+        return (t / dur) * (self.rows - 1)
 
     def embed_timestamp(self, t: float, duration: float) -> Tensor:
         """Embedding of a timestamp relative to the video length; 1 x d."""
-        coord = self._coord(t, duration)
-        return interp_table_rows(self.table, np.array([coord]))
+        return self.embed_timestamps([t], duration)
 
-    def embed_timestamps(self, ts, duration: float) -> Tensor:
-        """Embeddings of several timestamps at once; len(ts) x d."""
-        coords = np.array([self._coord(t, duration) for t in ts])
-        return interp_table_rows(self.table, coords)
+    def embed_timestamps(self, ts, duration) -> Tensor:
+        """Embeddings of timestamps of any shape at once; ts.shape x d."""
+        return interp_table_rows(self.table, self._coords(ts, duration))
 
     def decode_timestamps(self, preds: np.ndarray, duration: float) -> np.ndarray:
         """Map M predicted embeddings (M x d) back to M seconds.
@@ -101,12 +108,14 @@ class TemporalTable:
         Argmax of cosine similarity against the base table rows, as one
         M x T0 matrix product; ties go to the smaller index.
         """
-        if duration <= 0:
-            raise TimestampRangeError(f"duration must be positive, got {duration}")
+        if not (np.isfinite(duration) and duration > 0):
+            raise TimestampRangeError(
+                f"duration must be positive and finite, got {duration}")
         p = np.asarray(preds, dtype=np.float64)
         norms = np.linalg.norm(p, axis=1, keepdims=True)
-        if np.any(norms < 1e-12):
-            raise DegenerateVectorError("decode_timestamps: zero-norm prediction")
+        if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
+            raise DegenerateVectorError(
+                "decode_timestamps: zero-norm or non-finite prediction")
         rows = self.table.data
         row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
         sims = ((p / norms) @ rows.T) / row_norms

@@ -96,15 +96,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum ``g`` down to ``shape`` (adjoint of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -122,6 +113,14 @@ def backward(loss: Tensor):
     An op output's gradient is complete once the sweep reaches its node,
     because every consumer sits later on the tape; it is dropped there so
     that intermediate gradients do not pile up.
+
+    A tensor keeps the first gradient array it is handed as its ``.grad``
+    and adds later ones into it in place. The array is copied only when
+    it is read-only (a broadcast view), not C-contiguous (a transposed
+    view would change the reduction order of every op that reads it), or
+    may share memory with an array this node already handed to another
+    input (the ``+=`` would write into both). So backward functions make
+    no defensive copies.
     """
     if loss.data.size != 1:
         raise RankError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -131,10 +130,20 @@ def backward(loss: Tensor):
         if g_out is None:
             continue
         node.out.grad = None
-        grads = node.backward_fn(g_out)
-        for t, g in zip(node.inputs, grads):
-            if g is not None:
-                _accumulate(t, g)
+        handed: list[np.ndarray] = []
+        for t, g in zip(node.inputs, node.backward_fn(g_out)):
+            if g is None or not t.requires_grad:
+                continue
+            if t.grad is not None:
+                t.grad += g
+                continue
+            # the first gradient is taken as it is; a later += writes into it
+            if (not isinstance(g, np.ndarray) or not g.flags.writeable
+                    or not g.flags.c_contiguous
+                    or any(np.may_share_memory(g, h) for h in handed)):
+                g = np.array(g, order="C")
+            t.grad = g
+            handed.append(g)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight as one node; the same arithmetic as
+    ``add(matmul(x, w), b)``, forward and backward."""
+    if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(
+            f"linear: incompatible shapes {x.data.shape} x {w.data.shape}")
+    y = _fold_matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y)
+
+    def bwd(g):
+        gx = _fold_matmul(g, w.data.T) if x.requires_grad else None
+        gw = (x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+              if w.requires_grad else None)
+        return gx, gw, _unbroadcast(g, b.data.shape)
+
+    return _record(out, (x, w, b), bwd)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     # split by sign to avoid overflow in exp
     x = a.data
@@ -249,7 +277,7 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
     def bwd(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, a.data.shape),)
 
     return _record(out, (a,), bwd)
 
@@ -296,6 +324,19 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(out, tuple(tensors), bwd)
 
 
+def take(a: Tensor, index) -> Tensor:
+    """Rows ``a[index]`` along the first axis; a repeated row's gradients add."""
+    index = np.asarray(index)
+    out = Tensor(a.data[index])
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, index, g)
+        return (full,)
+
+    return _record(out, (a,), bwd)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
     x = a.data
@@ -311,21 +352,32 @@ def softmax(a: Tensor) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def layernorm(a: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1 (no affine)."""
+def layernorm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
+              eps: float = 1e-6) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1; with ``gain`` and
+    ``bias``, also the affine ``y * gain + bias`` in the same node (the
+    arithmetic of ``add(mul(layernorm(a), gain), bias)``)."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (x - mu) * inv
-    out = Tensor(y)
+    if gain is None:
+        out, inputs = Tensor(y), (a,)
+    else:
+        out, inputs = Tensor(y * gain.data), (a, gain, bias)
+        out.data += bias.data
 
     def bwd(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gy = g if gain is None else g * gain.data
+        gm = gy.mean(axis=-1, keepdims=True)
+        gym = (gy * y).mean(axis=-1, keepdims=True)
+        ga = inv * (gy - gm - y * gym)
+        if gain is None:
+            return (ga,)
+        return ga, _unbroadcast(g * y, gain.data.shape), _unbroadcast(g, bias.data.shape)
 
-    return _record(out, (a,), bwd)
+    return _record(out, inputs, bwd)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

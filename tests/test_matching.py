@@ -316,3 +316,113 @@ class TestTrainStep:
             matching.train_step(model, vocab, [chunk], Adam(model.params),
                                 np.random.default_rng(3))
         assert tt.tape_size() == 0
+
+
+class RecordGrads:
+    """Optimizer stand-in: keeps the gradients and the tape size at step."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
+
+    def step(self):
+        self.nodes = tt.tape_size()
+        self.grads = {k: p.grad for k, p in self.params.items()}
+
+
+def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses(caplog):
+    """Chunks of three lengths with 1, 2 and 3 narrations (padded to one
+    B x 3 block), plus a chunk with none, which train_step skips."""
+    vocab = ConceptVocabulary.generate(5, 6, np.random.default_rng(0))
+    shapes = ((30.0, 1), (20.0, 3), (24.0, 2), (30.0, 3), (20.0, 1))
+    chunks = [generate_video(vocab, n, duration, 2, 0.1, rng_seed=s, video_id=f"v{s}")
+              for s, (duration, n) in enumerate(shapes)]
+    empty = generate_video(vocab, 2, 24.0, 2, 0.1, rng_seed=9, video_id="empty")
+    empty.narrations = []
+    config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
+                         enc_layers=1, dec_layers=1, heads=2, head_dim=4,
+                         queries=4, temporal_rows=8, ffn_hidden=16)
+    model = MomentSetModel(config, np.random.default_rng(2))
+
+    rng = np.random.default_rng(7)
+    total = None
+    for chunk in chunks:
+        samples = matching.sample_chunk_intervals(chunk, rng)
+        loss = matching.chunk_loss(model, vocab, chunk, samples)[0]
+        total = loss if total is None else total + loss
+    mean = tt.scale(total, 1.0 / len(chunks))
+    tt.backward(mean)
+    expect = {k: p.grad.copy() for k, p in model.params.items()}
+    tt.clear_tape()
+
+    opt = RecordGrads(model.params)
+    with caplog.at_level("WARNING"):
+        stats = matching.train_step(model, vocab, chunks[:2] + [empty] + chunks[2:],
+                                    opt, np.random.default_rng(7))
+    assert any("no narrations" in r.getMessage() for r in caplog.records)
+    assert stats.loss == pytest.approx(mean.item(), rel=1e-12)
+    for k, g in expect.items():
+        np.testing.assert_allclose(opt.grads[k], g, rtol=1e-9, atol=1e-12)
+
+
+def test_sim_means_are_means_of_chunk_means():
+    rng = np.random.default_rng(11)
+    sims = [Tensor(rng.standard_normal((2, 3, 3))) for _ in range(3)]
+    assignments = [np.array([2, 0, 1]), np.array([1])]
+    matched, unmatched = matching._sim_means(sims, assignments)
+    per_chunk = []
+    for b, a in enumerate(assignments):
+        cols = np.arange(len(a))
+        hit, miss = [], []
+        for s in sims:
+            mask = np.zeros((3, len(a)), dtype=bool)
+            mask[a, cols] = True
+            hit.append(s.data[b, :, :len(a)][mask])
+            miss.append(s.data[b, :, :len(a)][~mask])
+        per_chunk.append((np.concatenate(hit).mean(), np.concatenate(miss).mean()))
+    assert matched == pytest.approx(np.mean([m for m, _ in per_chunk]), rel=1e-14)
+    assert unmatched == pytest.approx(np.mean([u for _, u in per_chunk]), rel=1e-14)
+    # a chunk whose every pair is matched counts 0.0 for unmatched
+    one = [Tensor(np.full((1, 1, 1), 0.5)) for _ in range(3)]
+    assert matching._sim_means(one, [np.array([0])]) == (0.5, 0.0)
+
+
+def test_tape_does_not_grow_with_the_batch():
+    """Default widths, 300-frame chunks with two narrations: one fixed-size
+    tape per step, and no two parameters' gradients share memory."""
+    vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
+    nodes = {}
+    for batch in (8, 16):
+        chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
+                  for s in range(batch)]
+        model = MomentSetModel(ModelConfig(), np.random.default_rng(1))
+        opt = RecordGrads(model.params)
+        matching.train_step(model, vocab, chunks, opt, np.random.default_rng(2))
+        nodes[batch] = opt.nodes
+        grads = [g for g in opt.grads.values()]
+        assert all(g is not None and g.flags.c_contiguous for g in grads)
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+    assert nodes[8] <= 300
+    assert nodes[16] == nodes[8]
+
+
+def test_chunk_ground_truth_is_the_batch_of_one_row(setup):
+    """The per-chunk path the benchmark's matching check uses: M x ... sets,
+    equal to the batch's rows, and empty for a chunk with no samples."""
+    model, vocab, chunk, samples = setup
+    with tt.no_grad():
+        gt = matching.chunk_ground_truth(model, vocab, chunk, samples)
+        batch = matching.batch_ground_truth(model, vocab, [chunk], [samples])
+        for one, row in ((gt.lang, batch.lang), (gt.te_start, batch.te_start),
+                         (gt.te_end, batch.te_end)):
+            assert one.data.shape == row.data.shape[1:]
+            assert one.data.tobytes() == row.data[0].tobytes()
+        empty = matching.chunk_ground_truth(model, vocab, chunk, [])
+        pred = model.forward(chunk.features)
+        sims = matching.similarity_matrices(pred, empty)
+    assert sims[0].data.shape == (4, 0)
+    assert matching.hungarian(matching.build_cost(sims)).size == 0

@@ -199,3 +199,48 @@ class TestDecodeTimestamps:
         for duration in (0.0, -1.0):
             with pytest.raises(TimestampRangeError):
                 table.decode_timestamps(np.ones((2, 4)), duration)
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time or duration is a TimestampRangeError, never a
+    stray IndexError from a NaN row coordinate."""
+
+    @pytest.mark.parametrize("t, duration", [
+        (np.nan, 10.0), (5.0, np.nan), (5.0, np.inf), (np.inf, 10.0),
+        (np.inf, np.inf), (5.0, -np.inf)])
+    def test_embed(self, t, duration):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        with pytest.raises(TimestampRangeError):
+            table.embed_timestamp(t, duration)
+        with pytest.raises(TimestampRangeError):
+            table.embed_timestamps([1.0, t], duration)
+
+    def test_embed_batch_with_one_bad_duration(self):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        with pytest.raises(TimestampRangeError):
+            table.embed_timestamps(np.ones((2, 3)), np.array([[10.0], [np.nan]]))
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_decode_duration(self, duration):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        with pytest.raises(TimestampRangeError):
+            table.decode_timestamps(np.ones((2, 4)), duration)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_decode_prediction_row(self, bad):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        preds = np.ones((3, 4))
+        preds[1, 2] = bad
+        with pytest.raises(DegenerateVectorError):
+            table.decode_timestamps(preds, 10.0)
+
+
+def test_batched_embed_matches_per_row_calls():
+    table = TemporalTable.init_sinusoidal(9, 6)
+    times = np.array([[0.0, 3.5, 12.0], [1.0, 20.0, 7.25]])
+    durations = np.array([[12.0], [20.0]])
+    batched = table.embed_timestamps(times, durations).data
+    assert batched.shape == (2, 3, 6)
+    for row, duration in zip(range(2), (12.0, 20.0)):
+        single = table.embed_timestamps(times[row], duration).data
+        assert single.tobytes() == batched[row].tobytes()

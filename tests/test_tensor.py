@@ -253,3 +253,145 @@ def test_gelu_matches_closed_form_bit_for_bit():
     g = np.random.default_rng(9).standard_normal(x.shape)
     tt.backward(tt.tsum(tt.gelu(a) * Tensor(g)))
     np.testing.assert_allclose(a.grad, g * dydx, rtol=1e-15, atol=0)
+
+
+def _grads_of(build, inputs, upstream):
+    """Output data and every input's gradient for ``sum(build() * upstream)``."""
+    tt.clear_tape()
+    for t in inputs:
+        t.zero_grad()
+    out = build()
+    tt.backward(tt.tsum(out * Tensor(upstream)))
+    grads = [None if t.grad is None else t.grad.copy() for t in inputs]
+    tt.clear_tape()
+    return out.data.copy(), grads
+
+
+def _assert_same_bits(a, b):
+    out_a, grads_a = a
+    out_b, grads_b = b
+    assert out_a.tobytes() == out_b.tobytes()
+    for ga, gb in zip(grads_a, grads_b):
+        assert (ga is None) == (gb is None)
+        if ga is not None:
+            assert ga.shape == gb.shape and ga.tobytes() == gb.tobytes()
+
+
+class TestFusedOps:
+    """``linear`` and the affine ``layernorm`` are one node each, with the
+    arithmetic of the ops they replace, bit for bit."""
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_linear_equals_matmul_add_bit_for_bit(self, x_grad):
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=x_grad)
+        w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        g = rng.standard_normal((2, 3, 4))
+        _assert_same_bits(_grads_of(lambda: tt.linear(x, w, b), [x, w, b], g),
+                          _grads_of(lambda: tt.matmul(x, w) + b, [x, w, b], g))
+
+    def test_linear_is_one_node(self):
+        rng = np.random.default_rng(21)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        tt.linear(Tensor(rng.standard_normal((4, 3))), w, Tensor(np.zeros(2)))
+        assert tt.tape_size() == 1
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="linear"):
+            tt.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                      Tensor(np.zeros(3)))
+
+    def test_affine_layernorm_equals_composed_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 3, 6)) * 2.0, requires_grad=True)
+        gain = Tensor(rng.standard_normal(6), requires_grad=True)
+        bias = Tensor(rng.standard_normal(6), requires_grad=True)
+        g = rng.standard_normal((2, 3, 6))
+        _assert_same_bits(
+            _grads_of(lambda: tt.layernorm(x, gain, bias), [x, gain, bias], g),
+            _grads_of(lambda: tt.layernorm(x) * gain + bias, [x, gain, bias], g))
+        tt.layernorm(x, gain, bias)
+        assert tt.tape_size() == 1
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        finite_diff_check(lambda: tt.tmean(tt.sigmoid(tt.linear(x, w, b))),
+                          [x, w, b], rng)
+        gain = Tensor(rng.standard_normal(4), requires_grad=True)
+        bias = Tensor(rng.standard_normal(4), requires_grad=True)
+        finite_diff_check(
+            lambda: tt.tmean(tt.sigmoid(tt.layernorm(x, gain, bias))),
+            [x, gain, bias], rng)
+
+    def test_take_rows(self):
+        rng = np.random.default_rng(24)
+        a = Tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+        np.testing.assert_array_equal(tt.take(a, [2, 0, 1]).data, a.data[[2, 0, 1]])
+        probe = Tensor(rng.standard_normal((4, 2, 4)))
+        finite_diff_check(lambda: tt.tmean(tt.take(a, [1, 2, 1, 0]) * probe), [a], rng)
+
+
+class TestGradientHandOver:
+    """``backward`` keeps the first gradient array a tensor is handed and
+    copies it only when it is read-only, not C-contiguous, or may share
+    memory with an array the same node handed to another input."""
+
+    def test_add_of_a_tensor_to_itself(self):
+        rng = np.random.default_rng(30)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        g = rng.standard_normal((3, 4))
+        tt.backward(tt.tsum(tt.add(x, x) * Tensor(g)))
+        assert x.grad.tobytes() == (g + g).tobytes()
+
+    def test_residual_keeps_the_branch_gradient_apart(self):
+        # tape: h = gelu(x), u = 2x, y = x + h. The add node hands one
+        # gradient to x and to h; scale's += on x.grad runs before gelu's
+        # node reads h.grad, so a shared array would corrupt it.
+        rng = np.random.default_rng(31)
+        xv = rng.standard_normal((3, 4))
+        x = Tensor(xv, requires_grad=True)
+        g1, g2 = rng.standard_normal((2, 3, 4))
+        h = tt.gelu(x)
+        u = tt.scale(x, 2.0)
+        y = x + h
+        tt.backward(tt.tsum(y * Tensor(g1)) + tt.tsum(u * Tensor(g2)))
+        from scipy.special import erf
+        dgelu = (0.5 * (1.0 + erf(xv / math.sqrt(2.0)))
+                 + xv * np.exp(-0.5 * xv * xv) / math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(x.grad, g1 + 2.0 * g2 + g1 * dgelu, rtol=1e-12)
+
+    def test_transposed_first_gradient_ends_c_contiguous(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        g = rng.standard_normal((4, 3))
+        tt.backward(tt.tsum(tt.transpose(x) * Tensor(g)))
+        assert x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, g.T)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1,)])
+    def test_broadcast_gradient_is_copied_to_a_writeable_array(self, shape):
+        # tsum hands back a read-only broadcast view; for one element it is
+        # also C-contiguous, so only the read-only test copies it
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        tt.backward(tt.tsum(x) + tt.tsum(x))
+        assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+        np.testing.assert_array_equal(x.grad, np.full(shape, 2.0))
+
+    def test_first_gradient_is_not_copied(self):
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        y = tt.scale(x, 2.0)
+        node = tt._TAPE[-1]
+        scale_bwd, handed = node.backward_fn, []
+
+        def spy(g):
+            handed.extend(scale_bwd(g))
+            return tuple(handed)
+
+        node.backward_fn = spy
+        tt.backward(tt.tsum(y * Tensor(rng.standard_normal((3, 4)))))
+        assert x.grad is handed[0]
