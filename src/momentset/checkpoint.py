@@ -128,11 +128,21 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
     return CheckpointData(config, epochs_done, step, tensors)
 
 
-def _check_tensor(data: CheckpointData, key: str, shape: tuple):
-    if key not in data.tensors:
-        raise CheckpointError(f"checkpoint is missing tensor '{key}'")
-    if data.tensors[key].shape != shape:
-        raise CheckpointError(f"shape mismatch for tensor '{key}'")
+def _check_tensors(data: CheckpointData, shapes, where: str):
+    """Raise CheckpointError unless the tensor table holds exactly the
+    (name, shape) pairs of ``shapes``. ``shapes`` is read lazily, so the
+    check stops at the first name the table lacks."""
+    names = set()
+    for name, shape in shapes:
+        if name not in data.tensors:
+            raise CheckpointError(f"{where}: checkpoint is missing tensor '{name}'")
+        if data.tensors[name].shape != shape:
+            raise CheckpointError(f"{where}: shape mismatch for tensor '{name}'")
+        names.add(name)
+    extra = sorted(data.tensors.keys() - names)
+    if extra:
+        raise CheckpointError(f"{where}: {len(extra)} tensors, first '{extra[0]}', "
+                              "are not in the model")
 
 
 def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
@@ -153,14 +163,7 @@ def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
         config.validate()
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
-    names = set()
-    for name, shape in param_shapes(config):
-        _check_tensor(data, name, shape)
-        names.add(name)
-    extra = sorted(data.tensors.keys() - names)
-    if extra:
-        raise CheckpointError(f"{path}: {len(extra)} tensors, first '{extra[0]}', "
-                              "are not in the snapshot's model")
+    _check_tensors(data, param_shapes(config), path)
     model = MomentSetModel(config.model_config(), rng=None)
     for name, p in model.params.items():
         p.data = data.tensors[name]
@@ -173,17 +176,17 @@ def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
 
     Takes ownership of ``data``'s arrays: the model and the optimizer hold
     them afterwards, uncopied, so ``data`` must not be restored again. The
-    IDENTITY_FIELDS of the snapshot and ``config`` must match. Every
-    parameter and moment is checked before any is assigned, so a bad
-    checkpoint changes nothing.
+    IDENTITY_FIELDS of the snapshot and ``config`` must match, and the
+    tensor table must hold exactly the parameters and their moments. All of
+    it is checked before anything is assigned, so a bad checkpoint changes
+    nothing.
     """
     differ = [k for k in IDENTITY_FIELDS if data.config.get(k) != getattr(config, k)]
     if differ:
         raise CheckpointError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
-    for name, p in model.params.items():
-        for key in (name, f"opt.m.{name}", f"opt.v.{name}"):
-            _check_tensor(data, key, p.data.shape)
+    _check_tensors(data, ((key, p.data.shape) for name, p in model.params.items()
+                          for key in (name, f"opt.m.{name}", f"opt.v.{name}")), "resume")
     for name, p in model.params.items():
         p.data = data.tensors[name]
     optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}

@@ -102,7 +102,8 @@ _VIDEO_FIELDS = {
     "duration": is_number,
     "fps": is_number,
     "chunk_seconds": is_number,
-    "chunks": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+    "chunks": lambda v: isinstance(v, list) and v != [] and all(
+        isinstance(c, str) for c in v),
     "labels": lambda v: isinstance(v, list),
     "narrations": lambda v: isinstance(v, list) and all(
         isinstance(n, dict) and "concept_id" in n
@@ -269,8 +270,7 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
     labels = np.zeros((len(vids), vocab.size), dtype=bool)
     for r, vid in enumerate(vids):
         visual = _video_prediction_chunks(model, videos[vid]).visual.data
-        per_chunk = [evaluate.recognition_scores(v, vocab.vectors) for v in visual]
-        scores[r] = np.mean(per_chunk, axis=0)
+        scores[r] = evaluate.recognition_scores(visual, vocab.vectors).mean(axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
     return {"task": "recognition",
             "map": evaluate.video_map(scores, labels),
@@ -278,23 +278,22 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
             "config": config.to_dict()}
 
 
-def decode_video_spans(table: TemporalTable, preds, durations,
+def decode_video_spans(table: TemporalTable, pred: MomentPrediction, durations,
                        chunk_seconds: float) -> np.ndarray:
-    """Every query slot's (start, end) on the global timeline; (sum N) x 2.
+    """Every query slot's (start, end) on the global timeline; (B*N) x 2.
 
-    ``preds`` holds one prediction per chunk: a list, or the rows of a
-    stacked prediction. Each chunk's start and end embeddings are decoded
-    together in one call, re-based by the chunk offset and swapped where
+    ``pred`` is a video's stacked B x N prediction, row k chunk k of
+    ``durations[k]`` seconds. All start and end embeddings are decoded in
+    one call, re-based by their chunk's offset and swapped where
     start > end. Rows are chunk-major, then slot order, matching the
-    concatenated visual rows.
+    flattened visual rows.
     """
-    spans = []
-    for k, (pred, duration) in enumerate(zip(preds, durations)):
-        n = pred.te_start.data.shape[0]
-        t = table.decode_timestamps(
-            np.vstack([pred.te_start.data, pred.te_end.data]), duration)
-        spans.append(k * chunk_seconds + np.sort(t.reshape(2, n).T, axis=1))
-    return np.vstack(spans)
+    b, n = pred.te_start.data.shape[:2]
+    t = table.decode_timestamps(
+        np.concatenate([pred.te_start.data, pred.te_end.data], axis=1),
+        np.reshape(durations, (b, 1)))
+    spans = np.sort(t.reshape(b, 2, n).transpose(0, 2, 1), axis=-1)
+    return ((np.arange(b) * chunk_seconds)[:, None, None] + spans).reshape(-1, 2)
 
 
 def nlq_video_candidates(visual: np.ndarray, spans: np.ndarray,
@@ -359,6 +358,8 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     The model and the model fields of the report's config come from the
     checkpoint's snapshot (checkpoint.load_model); those of ``config`` are
     ignored, so the scores depend only on the checkpoint and the dataset.
+    Raises ConfigError, before the checkpoint is read, when the selected
+    videos have no label (recognition) or no narration (nlq) to score.
     """
     config.validate()
     if task not in ("recognition", "nlq"):
@@ -366,6 +367,9 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest, vocab, videos = load_dataset(data_dir, video_ids)
+    key = "labels" if task == "recognition" else "narrations"
+    if not any(manifest["videos"][vid][key] for vid in videos):
+        raise ConfigError(f"nothing to evaluate: the selected videos have no {key}")
     config, model = ckpt.load_model(checkpoint_path, config)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)

@@ -13,9 +13,9 @@ log = logging.getLogger(__name__)
 
 
 def recognition_scores(visual: np.ndarray, class_vectors: np.ndarray) -> np.ndarray:
-    """Per-class score: mean cosine of all predicted visual embeddings
-    (the N x C rows of one prediction)."""
-    return (np.asarray(visual) @ np.asarray(class_vectors).T).mean(axis=0)
+    """Per-class score: mean cosine of a prediction's N visual embeddings;
+    [B x] N x C rows give [B x] K scores, one row per stacked prediction."""
+    return (np.asarray(visual) @ np.asarray(class_vectors).T).mean(axis=-2)
 
 
 def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:

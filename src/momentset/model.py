@@ -69,22 +69,10 @@ class ModelConfig:
 @dataclass
 class MomentPrediction:
     """The predicted moment set: unit-row visual and start/end TE matrices,
-    with a leading B axis when the forward was stacked.
-
-    A stack reads as a sequence of its chunks: ``len`` is B, and iteration
-    gives each chunk's N-row prediction as views of the stacked arrays, off
-    the tape (for eval and inspection).
-    """
+    with a leading B axis when the forward was stacked."""
     visual: Tensor       # [B x] N x C
     te_start: Tensor     # [B x] N x d
     te_end: Tensor       # [B x] N x d
-
-    def __len__(self) -> int:
-        return self.visual.data.shape[0]
-
-    def __iter__(self):
-        for rows in zip(self.visual.data, self.te_start.data, self.te_end.data):
-            yield MomentPrediction(*map(Tensor, rows))
 
 
 def _init_normal(shape, fan_in, rng):

@@ -22,6 +22,17 @@ def _interp_coords(coords: np.ndarray, rows: int):
     return lo, hi, frac
 
 
+def _durations(duration, shape) -> np.ndarray:
+    """``duration`` broadcast to ``shape``; TimestampRangeError unless every
+    one is positive and finite (a NaN fails the test as written)."""
+    dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), shape)
+    bad = ~(np.isfinite(dur) & (dur > 0))
+    if bad.any():
+        raise TimestampRangeError(
+            f"duration must be positive and finite, got {dur[bad][0]}")
+    return dur
+
+
 def interp_table_rows(table: Tensor, coords: np.ndarray) -> Tensor:
     """Linear interpolation of table rows at continuous coordinates of any
     shape; the result is coords.shape x d.
@@ -82,12 +93,8 @@ class TemporalTable:
         """Row coordinates of timestamps; ``duration`` broadcasts against
         ``ts``, so each row of a batch can have its own."""
         t = np.asarray(ts, dtype=np.float64)
-        dur = np.broadcast_to(np.asarray(duration, dtype=np.float64), t.shape)
+        dur = _durations(duration, t.shape)
         # each test is written so that a NaN fails it
-        bad = ~(np.isfinite(dur) & (dur > 0))
-        if bad.any():
-            raise TimestampRangeError(
-                f"duration must be positive and finite, got {dur[bad][0]}")
         bad = ~(np.isfinite(t) & (t >= 0) & (t <= dur))
         if bad.any():
             raise TimestampRangeError(
@@ -102,25 +109,22 @@ class TemporalTable:
         """Embeddings of timestamps of any shape at once; ts.shape x d."""
         return interp_table_rows(self.table, self._coords(ts, duration))
 
-    def decode_timestamps(self, preds: np.ndarray, duration: float) -> np.ndarray:
-        """Map M predicted embeddings (M x d) back to M seconds.
-
-        Argmax of cosine similarity against the base table rows, as one
-        M x T0 matrix product; ties go to the smaller index.
-        """
-        if not (np.isfinite(duration) and duration > 0):
-            raise TimestampRangeError(
-                f"duration must be positive and finite, got {duration}")
+    def decode_timestamps(self, preds: np.ndarray, duration) -> np.ndarray:
+        """Map ... x d predicted embeddings back to ... seconds, ``duration``
+        broadcasting over the leading axes as in embed_timestamps: argmax of
+        cosine similarity against the base table rows, as one stacked
+        ... x T0 matrix product; ties go to the smaller index."""
         p = np.asarray(preds, dtype=np.float64)
-        norms = np.linalg.norm(p, axis=1, keepdims=True)
+        dur = _durations(duration, p.shape[:-1])
+        norms = np.linalg.norm(p, axis=-1, keepdims=True)
         if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
             raise DegenerateVectorError(
                 "decode_timestamps: zero-norm or non-finite prediction")
         rows = self.table.data
         row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)
         sims = ((p / norms) @ rows.T) / row_norms
-        idx = np.argmax(sims, axis=1)  # argmax returns the first maximal index
-        return (idx / (self.rows - 1)) * duration
+        idx = np.argmax(sims, axis=-1)  # argmax returns the first maximal index
+        return (idx / (self.rows - 1)) * dur
 
     def decode_timestamp(self, pred: np.ndarray, duration: float) -> float:
         """Map one predicted embedding back to seconds; see decode_timestamps."""

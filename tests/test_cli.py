@@ -331,6 +331,30 @@ class TestTrain:
             for k, p in target.params.items():
                 np.testing.assert_array_equal(p.data, before[k])
 
+    def test_both_loaders_reject_an_extra_tensor(self, dataset, tmp_path):
+        """A tensor outside the model fails the eval load and the resume
+        alike, and the resume changes neither the model nor the optimizer."""
+        cfg, _ = dataset
+        model = cli.build_model(cfg)
+        model.params["extra"] = tt.Tensor(np.zeros(3), requires_grad=True)
+        path = tmp_path / "x.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        with pytest.raises(CheckpointError, match="'extra'"):
+            ckpt.load_model(path, cfg)
+        target = cli.build_model(cfg)
+        opt = cli.build_optimizer(cfg, target)
+        opt.m = {k: np.ones_like(p.data) for k, p in target.params.items()}
+        opt.v = {k: np.ones_like(p.data) for k, p in target.params.items()}
+        opt.step_count = 4
+        before = {k: p.data.copy() for k, p in target.params.items()}
+        m, v = opt.m, opt.v
+        with pytest.raises(CheckpointError, match="'extra'"):
+            ckpt.restore(ckpt.load_checkpoint(path), cfg, target, opt)
+        for k, p in target.params.items():
+            np.testing.assert_array_equal(p.data, before[k])
+        assert (opt.m, opt.v, opt.step_count) == (m, v, 4)
+        assert all((a == 1.0).all() for a in (*m.values(), *v.values()))
+
     def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path):
         cfg, _ = dataset
         model = cli.build_model(cfg)
@@ -666,6 +690,7 @@ def _trailing_byte(data: Path):
     _edit_manifest(lambda v: v.update(duration="100")),
     _edit_manifest(lambda v: v.update(fps=True)),
     _edit_manifest(lambda v: v.update(chunks=[1])),
+    _edit_manifest(lambda v: v.update(chunks=[])),
     _edit_manifest(lambda v: v["narrations"][0].pop("concept_id")),
     _edit_manifest(lambda v: v["narrations"][0].pop("b")),
     _edit_manifest(lambda v: v.update(labels=[True])),
@@ -674,7 +699,8 @@ def _trailing_byte(data: Path):
         "feature_width", "trailing_bytes",
         "manifest_no_vocab", "manifest_vocab_not_str", "manifest_videos_not_object",
         "manifest_not_object", "manifest_no_chunks", "manifest_duration_str",
-        "manifest_fps_bool", "manifest_chunk_not_str", "manifest_narration_no_concept",
+        "manifest_fps_bool", "manifest_chunk_not_str", "manifest_chunks_empty",
+        "manifest_narration_no_concept",
         "manifest_narration_no_end", "manifest_label_bool", "manifest_not_json"])
 def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     cfg, data = dataset
@@ -689,6 +715,25 @@ def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     assert rc == 2
     assert err.startswith(("error: io:", "error: format:")), err
     assert "manifest.json" in err or ".maln" in err
+
+
+@pytest.mark.parametrize("task, key", [("nlq", "narrations"), ("recognition", "labels")])
+def test_eval_with_nothing_to_score_is_a_clean_error(dataset, trained, tmp_path, capsys,
+                                                      monkeypatch, task, key):
+    """No narration to query or no label to rank is a config error, raised
+    before the checkpoint is read."""
+    _, data = dataset
+    bad = tmp_path / "data"
+    shutil.copytree(data, bad)
+    _rewrite_manifest(lambda m: {**m, "videos": {
+        vid: {**meta, key: []} for vid, meta in m["videos"].items()}})(bad)
+    monkeypatch.setattr(ckpt, "load_model", lambda *a: pytest.fail("checkpoint read"))
+    rc = cli.main(["eval", "--data", str(bad), "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(trained), "--task", task])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: config: nothing to evaluate"), err
+    assert key in err
 
 
 def _first_chunk_file(data: Path) -> Path:

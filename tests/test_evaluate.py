@@ -21,6 +21,12 @@ def pred_from(visual, te_start=None, te_end=None):
     return MomentPrediction(Tensor(visual), Tensor(te_start), Tensor(te_end))
 
 
+def stack(preds):
+    """One stacked B x N prediction whose row k is preds[k]."""
+    return MomentPrediction(*(Tensor(np.stack([getattr(p, f).data for p in preds]))
+                              for f in ("visual", "te_start", "te_end")))
+
+
 class TestRecognitionScores:
     def test_perfect_alignment(self):
         rng = np.random.default_rng(0)
@@ -42,6 +48,16 @@ class TestRecognitionScores:
         for c in range(3):
             expect = np.mean([visual[i] @ classes[c] for i in range(5)])
             assert scores[c] == pytest.approx(expect, abs=1e-12)
+
+    def test_stacked_matches_per_chunk_calls(self):
+        rng = np.random.default_rng(3)
+        visual = unit_rows(rng, 4 * 5, 6).reshape(4, 5, 6)
+        classes = unit_rows(rng, 3, 6)
+        got = evaluate.recognition_scores(visual, classes)
+        assert got.shape == (4, 3)
+        for b in range(4):
+            assert got[b].tobytes() == evaluate.recognition_scores(
+                visual[b], classes).tobytes()
 
     def test_linear_in_class_vectors(self):
         rng = np.random.default_rng(2)
@@ -127,7 +143,7 @@ class TestNlqInfer:
         visual = np.eye(2, 6)
         pred = pred_from(visual, te_start / np.linalg.norm(te_start, axis=1, keepdims=True),
                          te_end / np.linalg.norm(te_end, axis=1, keepdims=True))
-        spans = cli.decode_video_spans(table, [pred], [40.0], 40.0)
+        spans = cli.decode_video_spans(table, stack([pred]), [40.0], 40.0)
         cands = cli.nlq_video_candidates(visual, spans, visual[0])
         assert [(s, e) for _, s, e in cands] == [(10.0, 30.0), (0.0, 40.0)]
 
@@ -142,7 +158,7 @@ class TestNlqInfer:
                            rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
                  for _ in durations]
         visual = np.vstack([p.visual.data for p in preds])
-        spans = cli.decode_video_spans(table, preds, durations, chunk_seconds)
+        spans = cli.decode_video_spans(table, stack(preds), durations, chunk_seconds)
         for q in [basis[0], basis[2], unit_rows(rng, 1, 6)[0]]:
             expect = []
             for k, (pred, duration) in enumerate(zip(preds, durations)):

@@ -230,14 +230,14 @@ class TestForward:
         rng = np.random.default_rng(14)
         chunks = [rng.standard_normal((t, 6)) for t in (12, 9, 12, 9, 12)]
         preds = model.forward_chunks(chunks)
-        assert len(preds) == len(chunks)
-        for features, pred in zip(chunks, preds):
+        assert preds.visual.data.shape[0] == len(chunks)
+        for b, features in enumerate(chunks):
             single = model.forward(features)
-            for got, expect in ((pred.visual, single.visual),
-                                (pred.te_start, single.te_start),
-                                (pred.te_end, single.te_end)):
-                assert got.data.shape == expect.data.shape
-                np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
+            for got, expect in ((preds.visual, single.visual),
+                                (preds.te_start, single.te_start),
+                                (preds.te_end, single.te_end)):
+                assert got.data[b].shape == expect.data.shape
+                np.testing.assert_allclose(got.data[b], expect.data, atol=1e-12)
 
     def test_forward_chunks_stack_whole_windows(self, monkeypatch):
         model = make(tiny_config())

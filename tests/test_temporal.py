@@ -194,6 +194,26 @@ class TestDecodeTimestamps:
             with pytest.raises(DegenerateVectorError):
                 table.decode_timestamps(preds, 10.0)
 
+    def test_stacked_with_per_chunk_durations(self):
+        rng = np.random.default_rng(6)
+        table = TemporalTable.init_sinusoidal(16, 8)
+        preds = rng.standard_normal((3, 10, 8))
+        durations = np.array([[40.0], [40.0], [7.5]])
+        got = table.decode_timestamps(preds, durations)
+        assert got.shape == (3, 10)
+        for b in range(3):
+            np.testing.assert_array_equal(
+                got[b], first_argmax_decode(table, preds[b], durations[b, 0]))
+
+    def test_one_bad_chunk_duration(self):
+        table = TemporalTable.init_sinusoidal(6, 4)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            for b in range(3):
+                durations = np.full((3, 1), 10.0)
+                durations[b] = bad
+                with pytest.raises(TimestampRangeError):
+                    table.decode_timestamps(np.ones((3, 2, 4)), durations)
+
     def test_non_positive_duration(self):
         table = TemporalTable.init_sinusoidal(6, 4)
         for duration in (0.0, -1.0):
