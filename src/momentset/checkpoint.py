@@ -90,7 +90,11 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
     With ``moments=False`` the Adam moments ("opt.*") are size-checked the
     same way and then skipped unread, so ``tensors`` holds the model only.
     """
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise CheckpointError(f"{path}: unreadable checkpoint ({e.strerror})") from e
+    with f:
         size = os.fstat(f.fileno()).st_size
         magic, version, cfg_len = _unpack(f, size, "<4sII", path, "header")
         if magic != MAGIC:

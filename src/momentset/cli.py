@@ -182,11 +182,6 @@ def build_model(config: RunConfig) -> MomentSetModel:
     return MomentSetModel(config.model_config(), np.random.default_rng([config.seed, 2]))
 
 
-def restore_target(config: RunConfig) -> MomentSetModel:
-    """A model for a resumed run's checkpoint to fill: weights allocated, not drawn."""
-    return MomentSetModel(config.model_config(), rng=None)
-
-
 def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
     return Adam(model.params, lr=config.lr)
 
@@ -205,7 +200,9 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             f"a chunk has {max_narr} narrations but the model only has "
             f"{config.queries} queries")
 
-    model = build_model(config) if resume_from is None else restore_target(config)
+    # a resumed run's model is allocated, not drawn: the checkpoint fills it
+    model = (build_model(config) if resume_from is None
+             else MomentSetModel(config.model_config(), rng=None))
     optimizer = build_optimizer(config, model)
     start_epoch = 0
     if resume_from is not None:

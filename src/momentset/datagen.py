@@ -164,8 +164,6 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
-    if chunk_seconds >= record.duration:
-        return [record]
     T = record.num_frames
     n_chunks = int(np.ceil(record.duration / chunk_seconds))
     chunks = []

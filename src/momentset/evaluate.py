@@ -24,13 +24,9 @@ def average_precision(scores: np.ndarray, positives: np.ndarray) -> float:
     Videos are ranked by descending score; ties keep original order.
     """
     order = np.argsort(-scores, kind="stable")
-    hits = 0
-    precisions = []
-    for rank, idx in enumerate(order, start=1):
-        if positives[idx]:
-            hits += 1
-            precisions.append(hits / rank)
-    return float(np.mean(precisions))
+    hits = np.asarray(positives, dtype=bool)[order]
+    precision = np.cumsum(hits) / np.arange(1, len(order) + 1)
+    return float(np.mean(precision[hits]))
 
 
 def video_map(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -30,12 +30,6 @@ class GroundTruthSet:
     te_end: Tensor     # [B x] M x d, unit rows
 
 
-@dataclass
-class LossScales:
-    log_t: Tensor   # learnable, temperature stored as log
-    b: Tensor       # learnable bias
-
-
 def _check_unit_rows(data: np.ndarray, what: str):
     norms = np.linalg.norm(data, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-6):
@@ -93,25 +87,22 @@ def _pair_masks(assignments, n: int, m: int):
     return matched, real
 
 
-def sigmoid_contrastive_loss(sims, assignment, scales: LossScales) -> Tensor:
+def sigmoid_contrastive_loss(sims, assignments, log_t: Tensor, b: Tensor) -> Tensor:
     """SigLIP-style pairwise BCE summed over the three channels.
 
-    Matched pairs get label +1, everything else -1. Per chunk and channel
-    the loss is the mean over the chunk's N*M pairs of
-    -log(sigmoid(z * (t*s + b))); chunks are averaged. For one chunk,
-    ``sims`` are N x M and ``assignment`` its index array; for a batch they
-    are B x N x Mmax and one index array per chunk, whose length M_b marks
-    the chunk's real columns. It is computed as one weighted sum over all
-    three channels, with weight 1 / (B * N * M_b) on real pairs and 0 on
-    padding.
+    ``sims`` are B x N x Mmax and ``assignments`` one index array per chunk,
+    whose length M_b marks the chunk's real columns; ``log_t`` is the log
+    temperature and ``b`` the bias. Matched pairs get label +1, everything
+    else -1. Per chunk and channel the loss is the mean over the chunk's
+    N*M_b pairs of -log(sigmoid(z * (t*s + b))); chunks are averaged. It is
+    computed as one weighted sum over all three channels, with weight
+    1 / (B * N * M_b) on real pairs and 0 on padding.
     """
-    shape = sims[0].data.shape
-    assignments = [assignment] if len(shape) == 2 else assignment
-    matched, real = _pair_masks(assignments, *shape[-2:])
-    z = np.where(matched, 1.0, -1.0).reshape(shape)
-    weight = (real / (-len(assignments) * real.sum(axis=(1, 2), keepdims=True))).reshape(shape)
+    matched, real = _pair_masks(assignments, *sims[0].data.shape[-2:])
+    z = np.where(matched, 1.0, -1.0)
+    weight = real / (-len(assignments) * real.sum(axis=(1, 2), keepdims=True))
     # the channels stack along the first axis: everything below is entry-wise
-    logits = tt.exp(scales.log_t) * tt.cat(sims) + scales.b
+    logits = tt.exp(log_t) * tt.cat(sims) + b
     log_p = tt.log(tt.sigmoid(Tensor(np.concatenate([z] * 3)) * logits))
     return tt.tsum(log_p * Tensor(np.concatenate([weight] * 3)))
 
@@ -170,18 +161,9 @@ def batch_loss(model: MomentSetModel, vocab: ConceptVocabulary,
     if assignments is None:
         cost = build_cost(sims)
         assignments = [hungarian(cost[b, :, :len(s)]) for b, s in enumerate(samples)]
-    scales = LossScales(model.params["loss.log_t"], model.params["loss.b"])
-    return sigmoid_contrastive_loss(sims, assignments, scales), sims, assignments
-
-
-def chunk_loss(model: MomentSetModel, vocab: ConceptVocabulary,
-               chunk: VideoRecord, samples: list[MomentSample],
-               assignment: np.ndarray | None = None):
-    """``batch_loss`` of a batch of one; returns its 1 x N x M similarities
-    and the chunk's assignment."""
-    loss, sims, assignments = batch_loss(
-        model, vocab, [chunk], [samples], None if assignment is None else [assignment])
-    return loss, sims, assignments[0]
+    loss = sigmoid_contrastive_loss(sims, assignments, model.params["loss.log_t"],
+                                    model.params["loss.b"])
+    return loss, sims, assignments
 
 
 @dataclass

@@ -186,9 +186,6 @@ class MomentSetModel:
         self.temporal = TemporalTable(self.params["temporal.table"])
 
     # ------------------------------------------------------------------
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor) -> Tensor:
         p = self.params
         c = self.config

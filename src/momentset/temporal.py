@@ -101,10 +101,6 @@ class TemporalTable:
                 f"timestamp {t[bad][0]} outside [0, {dur[bad][0]}]")
         return (t / dur) * (self.rows - 1)
 
-    def embed_timestamp(self, t: float, duration: float) -> Tensor:
-        """Embedding of a timestamp relative to the video length; 1 x d."""
-        return self.embed_timestamps([t], duration)
-
     def embed_timestamps(self, ts, duration) -> Tensor:
         """Embeddings of timestamps of any shape at once; ts.shape x d."""
         return interp_table_rows(self.table, self._coords(ts, duration))

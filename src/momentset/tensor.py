@@ -38,9 +38,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -239,8 +236,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     # split by sign to avoid overflow in exp
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),))
 

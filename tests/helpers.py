@@ -14,7 +14,7 @@ def finite_diff_check(build_loss, params, rng, probes_per_param=3,
     """
     tt.clear_tape()
     for p in params:
-        p.zero_grad()
+        p.grad = None
     loss = build_loss()
     tt.backward(loss)
     grads = [None if p.grad is None else p.grad.copy() for p in params]

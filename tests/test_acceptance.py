@@ -109,7 +109,7 @@ def test_acceptance_2_gradient_integrity():
     model = MomentSetModel(ModelConfig(), np.random.default_rng(2))
     rng = np.random.default_rng(3)
     samples = matching.sample_chunk_intervals(chunk, rng)
-    _, _, assignment = matching.chunk_loss(model, vocab, chunk, samples)
+    _, _, assignments = matching.batch_loss(model, vocab, [chunk], [samples])
     tt.clear_tape()
 
     groups = {
@@ -126,8 +126,7 @@ def test_acceptance_2_gradient_integrity():
     }
 
     def build():
-        return matching.chunk_loss(model, vocab, chunk, samples,
-                                   assignment=assignment)[0]
+        return matching.batch_loss(model, vocab, [chunk], [samples], assignments)[0]
 
     failures = []
     for group, names in groups.items():
@@ -273,7 +272,7 @@ def test_acceptance_7_temporal_round_trip():
     table = TemporalTable.init_sinusoidal(rows, d)
     grid = [i / (rows - 1) * duration for i in range(rows)]
     exact = all(
-        table.decode_timestamp(table.embed_timestamp(t, duration).data,
+        table.decode_timestamp(table.embed_timestamps([t], duration).data,
                                duration) == t
         for t in grid)
     ident = np.array_equal(table.interpolate(rows).data, table.table.data)

@@ -22,7 +22,7 @@ from momentset.errors import (
     ShapeError,
     TruncatedFileError,
 )
-from momentset.model import ModelConfig
+from momentset.model import ModelConfig, MomentSetModel
 
 
 def tiny_run_config(**kw):
@@ -597,6 +597,24 @@ class TestMainEntry:
         assert rc == 2
         assert "not a dataset directory" in captured.err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unopenable_checkpoint(self, dataset, tmp_path, capsys, command, kind):
+        """An eval or resumed train whose checkpoint path is missing or a
+        directory ends in an io error, not an OSError traceback."""
+        cfg, data = dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        path = tmp_path / "ckpt.malc"
+        if kind == "directory":
+            path.mkdir()
+        argv = [command, "--config", str(cfg_path), "--data", str(data),
+                "--out", str(tmp_path / "o"), "--checkpoint", str(path)]
+        rc = cli.main(argv + (["--task", "nlq"] if command == "eval" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: io:") and "ckpt.malc" in err, err
+
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -798,7 +816,7 @@ class TestFuzz:
                 flipped = bytearray(blob)
                 flipped[i] ^= 1 << bit
                 path.write_bytes(flipped)
-                target = cli.restore_target(cfg)
+                target = MomentSetModel(cfg.model_config(), rng=None)
                 try:
                     ckpt.restore(ckpt.load_checkpoint(path), cfg, target,
                                  cli.build_optimizer(cfg, target))

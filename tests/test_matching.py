@@ -10,7 +10,7 @@ from momentset import matching
 from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, MomentSample, generate_video
 from momentset.errors import CapacityError, ContractError, DomainError, OptimizerError
-from momentset.matching import GroundTruthSet, LossScales
+from momentset.matching import GroundTruthSet
 from momentset.model import ModelConfig, MomentPrediction, MomentSetModel
 from momentset.tensor import Tensor
 
@@ -139,22 +139,23 @@ def test_hungarian_rejects_non_finite_cost():
 
 class TestLoss:
     def scales(self, t=1.0, b=0.0):
-        return LossScales(Tensor(np.array(math.log(t)), requires_grad=True),
-                          Tensor(np.array(b), requires_grad=True))
+        """(log_t, b) leaves."""
+        return (Tensor(np.array(math.log(t)), requires_grad=True),
+                Tensor(np.array(b), requires_grad=True))
 
     def test_zero_similarity_gives_three_ln_two(self):
-        sims = [Tensor(np.zeros((1, 1)))] * 3
+        sims = [Tensor(np.zeros((1, 1, 1)))] * 3
         loss = matching.sigmoid_contrastive_loss(
-            sims, np.array([0]), self.scales())
+            sims, [np.array([0])], *self.scales())
         assert loss.item() == pytest.approx(3 * math.log(2), abs=1e-12)
 
     def test_two_query_one_gt_hand_sum(self):
         rng = np.random.default_rng(3)
         vals = [rng.standard_normal((2, 1)) for _ in range(3)]
-        sims = [Tensor(v) for v in vals]
+        sims = [Tensor(v[None]) for v in vals]
         t, b = 2.0, -1.0
         loss = matching.sigmoid_contrastive_loss(
-            sims, np.array([1]), self.scales(t, b))
+            sims, [np.array([1])], *self.scales(t, b))
         expect = 0.0
         for v in vals:
             per = [-math.log(expit(-(t * v[0, 0] + b))),
@@ -165,9 +166,9 @@ class TestLoss:
     def test_monotonicity(self):
         def loss_at(s, matched):
             assign = np.array([0]) if matched else np.array([1])
-            sims = [Tensor(np.array([[s], [0.0]]))] * 3
+            sims = [Tensor(np.array([[[s], [0.0]]]))] * 3
             return matching.sigmoid_contrastive_loss(
-                sims, assign, self.scales()).item()
+                sims, [assign], *self.scales()).item()
 
         grid = np.linspace(-0.9, 0.9, 7)
         matched = [loss_at(s, True) for s in grid]
@@ -177,13 +178,13 @@ class TestLoss:
 
     def test_gradients_reach_scales_and_sims(self):
         rng = np.random.default_rng(4)
-        sims = [Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        sims = [Tensor(rng.standard_normal((1, 3, 2)), requires_grad=True)
                 for _ in range(3)]
         scales = self.scales(5.0, -2.0)
         finite_diff_check(
             lambda: matching.sigmoid_contrastive_loss(
-                sims, np.array([0, 2]), scales),
-            sims + [scales.log_t, scales.b], rng)
+                sims, [np.array([0, 2])], *scales),
+            sims + list(scales), rng)
 
 
 @pytest.fixture(scope="module")
@@ -202,19 +203,19 @@ def setup():
 class TestChunkLoss:
     def test_loss_finite_positive(self, setup):
         model, vocab, chunk, samples = setup
-        loss, _, assignment = matching.chunk_loss(model, vocab, chunk, samples)
+        loss, _, (assignment,) = matching.batch_loss(model, vocab, [chunk], [samples])
         assert np.isfinite(loss.item()) and loss.item() > 0
         assert len(set(assignment.tolist())) == len(chunk.narrations)
         tt.clear_tape()
 
     def test_temperature_gradient_finite_difference(self, setup):
         model, vocab, chunk, samples = setup
-        _, _, assignment = matching.chunk_loss(model, vocab, chunk, samples)
+        _, _, assignments = matching.batch_loss(model, vocab, [chunk], [samples])
         tt.clear_tape()
         rng = np.random.default_rng(5)
         finite_diff_check(
-            lambda: matching.chunk_loss(
-                model, vocab, chunk, samples, assignment=assignment)[0],
+            lambda: matching.batch_loss(
+                model, vocab, [chunk], [samples], assignments)[0],
             [model.params["loss.log_t"], model.params["loss.b"]], rng)
 
 
@@ -253,7 +254,7 @@ class TestTrainStep:
         total = None
         for chunk in chunks:
             samples = matching.sample_chunk_intervals(chunk, rng)
-            loss = matching.chunk_loss(model, vocab, chunk, samples)[0]
+            loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
             total = loss if total is None else total + loss
         mean = tt.scale(total, 1.0 / len(chunks))
         tt.backward(mean)
@@ -351,7 +352,7 @@ def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses
     total = None
     for chunk in chunks:
         samples = matching.sample_chunk_intervals(chunk, rng)
-        loss = matching.chunk_loss(model, vocab, chunk, samples)[0]
+        loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
         total = loss if total is None else total + loss
     mean = tt.scale(total, 1.0 / len(chunks))
     tt.backward(mean)

@@ -95,18 +95,18 @@ class TestTimestampCodec:
         table = TemporalTable.init_sinusoidal(3, 4)
         src = table.table.data
         np.testing.assert_allclose(
-            table.embed_timestamp(0.0, 10.0).data[0], src[0], atol=1e-12)
+            table.embed_timestamps([0.0], 10.0).data[0], src[0], atol=1e-12)
         np.testing.assert_allclose(
-            table.embed_timestamp(10.0, 10.0).data[0], src[2], atol=1e-12)
+            table.embed_timestamps([10.0], 10.0).data[0], src[2], atol=1e-12)
         np.testing.assert_allclose(
-            table.embed_timestamp(5.0, 10.0).data[0], src[1], atol=1e-12)
+            table.embed_timestamps([5.0], 10.0).data[0], src[1], atol=1e-12)
 
     def test_out_of_range(self):
         table = TemporalTable.init_sinusoidal(3, 4)
         with pytest.raises(TimestampRangeError):
-            table.embed_timestamp(-0.1, 10.0)
+            table.embed_timestamps([-0.1], 10.0)
         with pytest.raises(TimestampRangeError):
-            table.embed_timestamp(10.1, 10.0)
+            table.embed_timestamps([10.1], 10.0)
 
     def test_decode_exact_row(self):
         table = TemporalTable.init_sinusoidal(11, 8)
@@ -118,7 +118,7 @@ class TestTimestampCodec:
         table = TemporalTable.init_sinusoidal(rows, 8)
         for i in range(rows):
             ts = i * duration / (rows - 1)
-            emb = table.embed_timestamp(ts, duration).data
+            emb = table.embed_timestamps([ts], duration).data
             assert table.decode_timestamp(emb, duration) == ts
 
     def test_decode_matches_brute_scan(self):
@@ -231,7 +231,7 @@ class TestNonFiniteTimes:
     def test_embed(self, t, duration):
         table = TemporalTable.init_sinusoidal(6, 4)
         with pytest.raises(TimestampRangeError):
-            table.embed_timestamp(t, duration)
+            table.embed_timestamps([t], duration)
         with pytest.raises(TimestampRangeError):
             table.embed_timestamps([1.0, t], duration)
 

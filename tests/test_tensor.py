@@ -259,7 +259,7 @@ def _grads_of(build, inputs, upstream):
     """Output data and every input's gradient for ``sum(build() * upstream)``."""
     tt.clear_tape()
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     out = build()
     tt.backward(tt.tsum(out * Tensor(upstream)))
     grads = [None if t.grad is None else t.grad.copy() for t in inputs]
