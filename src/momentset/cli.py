@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
@@ -186,6 +188,23 @@ def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
     return Adam(model.params, lr=config.lr)
 
 
+def cut_train_log(path: Path, steps: int):
+    """Keep the header and the first ``steps`` rows of a train log, so a
+    resume drops the rows that a stopped run logged after its last save.
+    The cut copy is written beside the log and renamed into place."""
+    with open(path, "rb") as f:
+        lines = list(itertools.islice(f, steps + 1))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               resume_from: Path | None = None,
               video_ids: list[str] | None = None) -> Path:
@@ -205,10 +224,13 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
              else MomentSetModel(config.model_config(), rng=None))
     optimizer = build_optimizer(config, model)
     start_epoch = 0
+    log_path = out_dir / TRAIN_LOG_NAME
     if resume_from is not None:
         data = ckpt.load_checkpoint(resume_from)
         ckpt.restore(data, config, model, optimizer)
         start_epoch = data.epochs_done
+        if log_path.exists():
+            cut_train_log(log_path, data.step)
 
     fixed_samples = None
     if config.freeze_intervals:
@@ -217,7 +239,6 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             c.video_id: matching.sample_chunk_intervals(c, rng_fix)
             for c in chunks if c.narrations}
 
-    log_path = out_dir / TRAIN_LOG_NAME
     ckpt_path = out_dir / CHECKPOINT_NAME
     steps_per_epoch = math.ceil(len(chunks) / config.batch_size)
     step = start_epoch * steps_per_epoch

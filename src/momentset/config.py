@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -55,10 +56,18 @@ class RunConfig(ModelConfig):
 
     def validate(self):
         problems = []
+        # a JSON config file can set NaN or Infinity
+        if not all(math.isfinite(v) for v in (self.duration, self.chunk_seconds,
+                                              self.noise_level, self.lr)):
+            problems.append("duration, chunk_seconds, noise_level and lr must be finite")
         if self.fps < 1:
             problems.append("fps must be >= 1")
         if self.duration <= 0 or self.chunk_seconds <= 0:
             problems.append("duration and chunk_seconds must be positive")
+        if self.lr <= 0:
+            problems.append("lr must be positive")
+        if self.videos < 1 or self.vocab_size < 1:
+            problems.append("videos and vocab_size must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:
             problems.append("batch_size and epochs must be >= 1")
         if problems:

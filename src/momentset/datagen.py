@@ -3,8 +3,10 @@ chunking, and the binary feature-store format.
 
 Frame features are unit-norm rows in R^C. Frames inside a planted moment
 point toward that moment's concept vector (plus noise); background frames
-are random directions. Features are quantized through float32 at
-generation time so the on-disk format round-trips bit-exactly.
+are random directions. Features are held as float32, the on-disk dtype,
+from generation on, so the format round-trips bit-exactly and a loaded
+chunk takes the memory its file does; the model's stacked forward makes
+the one float64 copy.
 """
 from __future__ import annotations
 
@@ -26,6 +28,10 @@ from .errors import (
 MAGIC = b"MALN"
 VERSION = 1
 
+# the largest |norm - 1| of a row that must be unit: a vocabulary vector,
+# or a predicted row that the loss takes
+UNIT_NORM_TOL = 1e-6
+
 
 @dataclass
 class Narration:
@@ -40,7 +46,7 @@ class VideoRecord:
     video_id: str
     duration: float
     fps: int
-    features: np.ndarray          # T x C, float64, unit rows
+    features: np.ndarray          # T x C, float32, unit rows
     narrations: list[Narration] = field(default_factory=list)
 
     @property
@@ -91,11 +97,20 @@ class ConceptVocabulary:
 
     @classmethod
     def load(cls, path) -> "ConceptVocabulary":
+        """Raises FeatureStoreError naming ``path`` unless the file holds a
+        non-empty 2-D array of finite unit rows."""
         try:
             with np.load(path) as z:
-                return cls(z["vectors"])
+                vectors = np.asarray(z["vectors"], dtype=np.float64)
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
             raise FeatureStoreError(f"{path}: unreadable vocabulary ({e})") from e
+        # a NaN or an infinity makes its row's norm fail the test
+        if not (vectors.ndim == 2 and vectors.size > 0 and np.all(
+                np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= UNIT_NORM_TOL)):
+            raise FeatureStoreError(
+                f"{path}: vocabulary vectors must be a non-empty 2-D array of "
+                f"finite unit rows, got shape {vectors.shape}")
+        return cls(vectors)
 
 
 def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
@@ -134,8 +149,8 @@ def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
         inside = (times >= n.a) & (times <= n.b)
         feats[inside] = vocab.vectors[n.concept_id] + noise_level * feats[inside]
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    # quantize through the storage dtype so store/load is bit-exact
-    feats = feats.astype(np.float32).astype(np.float64)
+    # held in the storage dtype, so store/load is bit-exact
+    feats = feats.astype(np.float32)
     return VideoRecord(video_id, duration, fps, feats, narrations)
 
 
@@ -195,7 +210,8 @@ def store(record: VideoRecord, path):
     with open(path, "wb") as f:
         T, C = record.features.shape
         f.write(struct.pack("<4sIII", MAGIC, VERSION, T, C))
-        f.write(record.features.astype("<f4").tobytes())
+        # the array's buffer, no bytes copy (and no cast of float32 features)
+        f.write(np.ascontiguousarray(record.features, dtype="<f4").data)
         f.write(struct.pack("<I", len(record.narrations)))
         for n in record.narrations:
             f.write(struct.pack("<Iddd", n.concept_id, n.t, n.a, n.b))
@@ -222,8 +238,7 @@ def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
     need = T * C * 4
     if len(blob) < off + need + 4:
         raise TruncatedFileError(f"{path}: truncated feature payload")
-    feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=off)
-    feats = feats.reshape(T, C).astype(np.float64)
+    feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=off).reshape(T, C)
     off += need
     (count,) = struct.unpack_from("<I", blob, off)
     off += 4

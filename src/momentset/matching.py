@@ -15,7 +15,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import expit
 
 from . import tensor as tt
-from .datagen import ConceptVocabulary, MomentSample, VideoRecord, sample_interval
+from .datagen import (UNIT_NORM_TOL, ConceptVocabulary, MomentSample, VideoRecord,
+                      sample_interval)
 from .errors import CapacityError, ContractError, DomainError
 from .model import MomentPrediction, MomentSetModel
 from .tensor import Tensor
@@ -32,7 +33,7 @@ class GroundTruthSet:
 
 def _check_unit_rows(data: np.ndarray, what: str):
     norms = np.linalg.norm(data, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         raise ContractError(f"{what}: rows not unit-norm (max dev "
                             f"{np.max(np.abs(norms - 1.0)):.2e})")
 

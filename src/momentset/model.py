@@ -273,7 +273,9 @@ class MomentSetModel:
             # stack whole conv windows only, so tokenize's window reshape is a
             # view; a chunk shorter than one window is left for tokenize to reject
             used = length - length % k if length >= k else length
-            stacks.append(self.forward(np.stack([features_list[i][:used] for i in idx])))
+            # the stacked batch is the one float64 copy of the frames
+            stacks.append(self.forward(np.stack([features_list[i][:used] for i in idx],
+                                                dtype=np.float64)))
         if len(stacks) == 1:
             return stacks[0]
         rows = np.argsort(np.concatenate(list(groups.values())))  # chunk -> row

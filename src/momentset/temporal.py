@@ -60,10 +60,6 @@ class TemporalTable:
     def rows(self) -> int:
         return self.table.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.table.data.shape[1]
-
     @classmethod
     def init_sinusoidal(cls, rows: int, dim: int) -> "TemporalTable":
         """Classic 1D sin/cos position table, marked learnable."""

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from momentset import checkpoint as ckpt
-from momentset import cli, datagen
+from momentset import cli, datagen, matching
 from momentset import tensor as tt
 from momentset.config import RunConfig
 from momentset.errors import (
@@ -428,6 +428,41 @@ class TestTrain:
         assert (full / cli.CHECKPOINT_NAME).read_bytes() == \
             (part / cli.CHECKPOINT_NAME).read_bytes()
 
+    def test_resume_after_a_stop_mid_epoch_logs_each_step_once(self, dataset, tmp_path,
+                                                              monkeypatch):
+        """A run of 3 steps an epoch, saved after step 3 and stopped during
+        step 5, resumes to the log and checkpoint of an uninterrupted run:
+        the row of step 4 that the stopped run logged is not kept twice."""
+        cfg, data = dataset
+        full = tmp_path / "full"
+        cli.cmd_train(cfg, data, full)
+
+        class Stop(Exception):
+            pass
+
+        train_step = matching.train_step
+        calls = []
+
+        def stop_in_step_5(*args, **kw):
+            calls.append(None)
+            if len(calls) == 5:
+                raise Stop
+            return train_step(*args, **kw)
+
+        part = tmp_path / "part"
+        with monkeypatch.context() as m:
+            m.setattr(matching, "train_step", stop_in_step_5)
+            with pytest.raises(Stop):
+                cli.cmd_train(cfg, data, part)
+        log = part / cli.TRAIN_LOG_NAME
+        assert [r.split(",")[0] for r in log.read_text().splitlines()[1:]] == \
+            ["1", "2", "3", "4"]
+        cli.cmd_train(cfg, data, part, resume_from=part / cli.CHECKPOINT_NAME)
+        assert log.read_bytes() == (full / cli.TRAIN_LOG_NAME).read_bytes()
+        assert (part / cli.CHECKPOINT_NAME).read_bytes() == \
+            (full / cli.CHECKPOINT_NAME).read_bytes()
+        assert not (part / f"{cli.TRAIN_LOG_NAME}.tmp").exists()
+
 
 @pytest.fixture(scope="module")
 def trained(dataset, tmp_path_factory):
@@ -645,6 +680,26 @@ class TestMainEntry:
         assert captured.err.startswith("error: config:"), captured.err
         assert entry.split(":")[0].strip('"') in captured.err
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("key, value", [
+        ("duration", math.nan), ("duration", math.inf), ("chunk_seconds", math.nan),
+        ("noise_level", math.inf), ("lr", math.nan), ("lr", -math.inf), ("lr", 0.0),
+        ("lr", -1e-3), ("videos", 0), ("vocab_size", 0),
+    ])
+    def test_config_value_that_spoils_a_run(self, dataset, tmp_path, capsys,
+                                            command, key, value):
+        """Values that crash generate, or train nothing or NaN weights, are
+        refused before any work; JSON parsing admits NaN and Infinity."""
+        cfg, data = dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg.to_dict(), key: value}))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        rc = cli.main(argv + (["--data", str(data)] if command == "train" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config:") and key in err, err
+        assert not (tmp_path / "o").exists()
+
 
 def _load_chunk(path: Path) -> datagen.VideoRecord:
     """A chunk of a tiny_run_config dataset, each chunk_seconds long."""
@@ -775,6 +830,29 @@ def test_unreadable_dataset_file_is_a_clean_error(dataset, trained, tmp_path, ca
     assert rc == 2
     assert err.startswith("error: io:"), err
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad", [
+    lambda v: v[0], lambda v: np.full_like(v, np.nan), lambda v: 24.0 * v,
+], ids=["one_dim", "all_nan", "norm_24"])
+def test_bad_vocabulary_is_a_clean_error(dataset, trained, tmp_path, capsys, command, bad):
+    """vocab.npz must hold a non-empty 2-D array of finite unit rows."""
+    cfg, data = dataset
+    bad_data = tmp_path / "data"
+    shutil.copytree(data, bad_data)
+    vocab = datagen.ConceptVocabulary.load(data / cli.VOCAB_NAME)
+    np.savez(bad_data / cli.VOCAB_NAME, vectors=bad(vocab.vectors))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json())
+    argv = [command, "--config", str(cfg_path), "--data", str(bad_data),
+            "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(trained), "--task", "recognition"]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: io:") and cli.VOCAB_NAME in err, err
 
 
 def _checkpoint_frame_offsets(blob: bytes) -> tuple[list[int], list[int]]:

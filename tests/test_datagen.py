@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,24 @@ class TestFeatureStore:
         datagen.store(rec, path)
         again = datagen.load(path, "vid", rec.duration, rec.fps)
         assert records_equal(rec, again)
+
+    def test_features_held_as_float32(self, vocab, tmp_path):
+        """generate_video, chunk_video and load all yield the on-disk dtype."""
+        rec = datagen.generate_video(vocab, 2, 30.0, 6, 0.1, rng_seed=19)
+        chunks = datagen.chunk_video(rec, 20.0)
+        datagen.store(chunks[1], tmp_path / "x.maln")
+        again = datagen.load(tmp_path / "x.maln", "x", chunks[1].duration, 6)
+        assert [r.features.dtype for r in (rec, *chunks, again)] == [np.float32] * 4
+
+    def test_store_of_float64_features_writes_reference_bytes(self, tmp_path):
+        """Features of another dtype or layout are rounded to the f32 payload,
+        row-major, as astype("<f4") rounds them."""
+        feats = np.random.default_rng(20).standard_normal((3, 5)).T  # not C-contiguous
+        rec = VideoRecord("v", 5.0, 1, feats, [Narration(2, 2.5, 1.0, 4.0)])
+        datagen.store(rec, tmp_path / "v.maln")
+        expect = (struct.pack("<4sIII", b"MALN", 1, 5, 3) + feats.astype("<f4").tobytes()
+                  + struct.pack("<IIddd", 1, 2, 2.5, 1.0, 4.0))
+        assert (tmp_path / "v.maln").read_bytes() == expect
 
     def test_file_size_formula(self, vocab, tmp_path):
         rec = datagen.generate_video(vocab, 2, 30.0, 6, 0.1, rng_seed=13)

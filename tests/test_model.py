@@ -254,6 +254,28 @@ class TestForward:
         model.forward_chunks([rng.standard_normal((t, 6)) for t in (9, 12, 9)])
         assert sorted(seen) == [(1, 12, 6), (2, 8, 6)]
 
+    def test_forward_chunks_of_float32_chunks_stack_float64(self, monkeypatch):
+        """float32 chunks of mixed lengths, the dtype datagen holds, give the
+        prediction of their float64 upcasts bit for bit; each stack that
+        tokenize gets is already float64."""
+        model = make(tiny_config())
+        rng = np.random.default_rng(17)
+        chunks = [rng.standard_normal((t, 6)).astype(np.float32) for t in (12, 9, 12)]
+        expect = model.forward_chunks([c.astype(np.float64) for c in chunks])
+        dtypes = []
+        tokenize = model.tokenize
+
+        def spy(features):
+            dtypes.append(features.dtype)
+            return tokenize(features)
+
+        monkeypatch.setattr(model, "tokenize", spy)
+        got = model.forward_chunks(chunks)
+        assert dtypes == [np.float64, np.float64]
+        for g, e in ((got.visual, expect.visual), (got.te_start, expect.te_start),
+                     (got.te_end, expect.te_end)):
+            np.testing.assert_array_equal(g.data, e.data)
+
     def test_forward_chunks_reject_a_chunk_shorter_than_the_kernel(self):
         model = make(tiny_config(conv_kernel=3))
         rng = np.random.default_rng(16)
