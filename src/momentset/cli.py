@@ -275,24 +275,46 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _video_prediction_chunks(model, chunks) -> MomentPrediction:
-    """The video's chunks as one stacked prediction; row k is chunk k."""
-    with tt.no_grad():
-        return model.forward_chunks([c.features for c in chunks])
+def _video_predictions(model: MomentSetModel, videos, batch_size: int):
+    """Yield (video_id, chunks, prediction) for each video in sorted id order.
+
+    Whole videos share one stacked forward until it holds at least
+    ``batch_size`` chunks or the videos run out; a video is never split.
+    A video's prediction is its rows of the stack, row k chunk k.
+    """
+    vids = sorted(videos)
+    start = 0
+    while start < len(vids):
+        stop, rows = start, 0
+        while stop < len(vids) and rows < batch_size:
+            rows += len(videos[vids[stop]])
+            stop += 1
+        group = vids[start:stop]
+        with tt.no_grad():
+            pred = model.forward_chunks(
+                [c.features for vid in group for c in videos[vid]])
+        row = 0
+        for vid in group:
+            chunks = videos[vid]
+            yield vid, chunks, MomentPrediction(
+                *(tt.Tensor(f.data[row:row + len(chunks)])
+                  for f in (pred.visual, pred.te_start, pred.te_end)))
+            row += len(chunks)
+        start = stop
 
 
 def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
                      manifest, videos) -> dict:
-    vids = sorted(videos)
-    scores = np.zeros((len(vids), vocab.size))
-    labels = np.zeros((len(vids), vocab.size), dtype=bool)
-    for r, vid in enumerate(vids):
-        visual = _video_prediction_chunks(model, videos[vid]).visual.data
-        scores[r] = evaluate.recognition_scores(visual, vocab.vectors).mean(axis=0)
+    scores = np.zeros((len(videos), vocab.size))
+    labels = np.zeros((len(videos), vocab.size), dtype=bool)
+    for r, (vid, _, pred) in enumerate(
+            _video_predictions(model, videos, config.batch_size)):
+        scores[r] = evaluate.recognition_scores(
+            pred.visual.data, vocab.vectors).mean(axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
     return {"task": "recognition",
             "map": evaluate.video_map(scores, labels),
-            "videos": len(vids),
+            "videos": len(videos),
             "config": config.to_dict()}
 
 
@@ -332,10 +354,8 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
     rows = []
     gt_intervals = []
     predictions = []
-    for vid in sorted(videos):
+    for vid, chunks, preds in _video_predictions(model, videos, config.batch_size):
         meta = manifest["videos"][vid]
-        chunks = videos[vid]
-        preds = _video_prediction_chunks(model, chunks)
         visual = preds.visual.data.reshape(-1, preds.visual.data.shape[-1])
         spans = decode_video_spans(model.temporal, preds,
                                    [c.duration for c in chunks], meta["chunk_seconds"])

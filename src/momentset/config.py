@@ -7,6 +7,9 @@ import math
 import typing
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import datagen
 from .errors import ConfigError
 from .model import ModelConfig
 
@@ -64,6 +67,12 @@ class RunConfig(ModelConfig):
             problems.append("fps must be >= 1")
         if self.duration <= 0 or self.chunk_seconds <= 0:
             problems.append("duration and chunk_seconds must be positive")
+        # a video holds round(duration * fps) frames; a .maln header stores
+        # a chunk's count as a u32
+        frames = self.duration * self.fps
+        if not (math.isfinite(frames) and round(frames) < 2**32):
+            problems.append(f"duration * fps ({frames:g}) must round to fewer "
+                            f"than 2^32 frames")
         if self.lr <= 0:
             problems.append("lr must be positive")
         if self.videos < 1 or self.vocab_size < 1:
@@ -73,6 +82,28 @@ class RunConfig(ModelConfig):
         if problems:
             raise ConfigError("; ".join(problems))
         super().validate()
+        if self._cuts_a_short_chunk():
+            raise ConfigError(
+                f"duration {self.duration:g} in chunk_seconds {self.chunk_seconds:g} "
+                f"at fps {self.fps} leaves a chunk of fewer than conv_kernel "
+                f"({self.conv_kernel}) frames")
+
+    def _cuts_a_short_chunk(self) -> bool:
+        """Whether a chunk that datagen.chunk_video cuts from a generated
+        video has fewer than conv_kernel frames, which tokenize rejects."""
+        frames = round(self.duration * self.fps)
+        count = self.duration / self.chunk_seconds
+        # the chunks' frames add up to at most ``frames``
+        if not count * self.conv_kernel <= frames:
+            return True
+        count = math.ceil(count)
+        block = 1 << 16
+        for k0 in range(0, count, block):
+            f0, f1 = datagen.chunk_frames(np.arange(k0, min(k0 + block, count)),
+                                          self.chunk_seconds, self.fps, frames)
+            if np.any(f1 - f0 < self.conv_kernel):
+                return True
+        return False
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

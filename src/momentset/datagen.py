@@ -171,6 +171,16 @@ def sample_interval(narrations: list[Narration], j: int, duration: float,
     )
 
 
+def chunk_frames(k: np.ndarray, chunk_seconds: float, fps: int,
+                 num_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame bounds (f0, f1) of chunks ``k`` (an int array) as
+    chunk_video cuts them: chunk k holds frames f0 <= i < f1."""
+    f0 = np.round(k * chunk_seconds * fps).astype(np.int64)
+    f1 = np.minimum(np.round((k + 1) * chunk_seconds * fps),
+                    num_frames).astype(np.int64)
+    return f0, f1
+
+
 def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """Split into consecutive non-overlapping chunks; last one may be short.
 
@@ -179,17 +189,16 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
-    T = record.num_frames
     n_chunks = int(np.ceil(record.duration / chunk_seconds))
+    f0, f1 = chunk_frames(np.arange(n_chunks), chunk_seconds, record.fps,
+                          record.num_frames)
     chunks = []
     for k in range(n_chunks):
-        f0 = int(round(k * chunk_seconds * record.fps))
-        f1 = min(int(round((k + 1) * chunk_seconds * record.fps)), T)
         offset = k * chunk_seconds
         dur = min(chunk_seconds, record.duration - offset)
         chunks.append(VideoRecord(
             f"{record.video_id}_c{k}", dur, record.fps,
-            record.features[f0:f1], []))
+            record.features[f0[k]:f1[k]], []))
     for n in record.narrations:
         k = min(int(n.t // chunk_seconds), n_chunks - 1)
         off = k * chunk_seconds

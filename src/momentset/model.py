@@ -79,7 +79,9 @@ def _init_normal(shape, fan_in, rng):
     """Scaled normal init, or uninitialised storage when ``rng`` is None."""
     if rng is None:
         return np.empty(shape)
-    return rng.standard_normal(shape) / math.sqrt(fan_in)
+    w = rng.standard_normal(shape)
+    w /= math.sqrt(fan_in)
+    return w
 
 
 def _linear_shapes(name, fan_in, fan_out):

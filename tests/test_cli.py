@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import resource
@@ -98,6 +100,30 @@ class TestConfig:
     def test_queries_need_only_fit_one_chunk(self):
         # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
         RunConfig(duration=600, moments_per_video=24).validate()
+
+    def test_validate_accepts_exactly_the_chunkings_tokenize_takes(self):
+        """Over a grid of durations, chunk lengths, frame rates and conv
+        kernels, validate accepts a config exactly when every chunk that
+        chunk_video cuts from a generated video holds a conv window."""
+        vocab = datagen.ConceptVocabulary.generate(2, 4, np.random.default_rng(0))
+        outcomes = set()
+        for duration, chunk_seconds, fps, kernel in itertools.product(
+                (2.3, 6.0, 7.0, 13.8, 100.0, 101.0), (1.0, 7 / 6, 1.15, 1.25, 2.0, 50.0),
+                (1, 6, 7), (1, 7, 8)):
+            cfg = RunConfig(duration=duration, chunk_seconds=chunk_seconds, fps=fps,
+                            conv_kernel=kernel, moments_per_video=1)
+            record = datagen.generate_video(vocab, 1, duration, fps, 0.1, rng_seed=0)
+            fits = min(len(c.features) for c in datagen.chunk_video(
+                record, chunk_seconds)) >= kernel
+            try:
+                cfg.validate()
+                accepted = True
+            except ConfigError as e:
+                assert "conv_kernel" in str(e), str(e)
+                accepted = False
+            assert accepted == fits, (duration, chunk_seconds, fps, kernel)
+            outcomes.add(fits)
+        assert outcomes == {True, False}
 
 
 class TestGenerate:
@@ -597,6 +623,95 @@ class TestEval:
             cli.cmd_eval(cfg, data, tmp_path, "segmentation", checkpoint_path=trained)
 
 
+@pytest.fixture(scope="module")
+def mixed_trained(tmp_path_factory):
+    """Four 130-s videos in 50-, 50- and 30-s chunks, and a checkpoint."""
+    root = tmp_path_factory.mktemp("mixed")
+    cfg = tiny_run_config(videos=4, duration=130.0, chunk_seconds=50.0,
+                          moments_per_video=3, epochs=1)
+    cli.cmd_generate(cfg, root / "data")
+    cli.cmd_train(cfg, root / "data", root / "train")
+    return cfg, root / "data", root / "train" / cli.CHECKPOINT_NAME
+
+
+def _record_forwards(monkeypatch) -> list[list[np.ndarray]]:
+    """Wrap MomentSetModel.forward_chunks; each call appends its chunk list."""
+    calls = []
+    forward_chunks = MomentSetModel.forward_chunks
+
+    def spy(self, features_list):
+        calls.append(list(features_list))
+        return forward_chunks(self, features_list)
+
+    monkeypatch.setattr(MomentSetModel, "forward_chunks", spy)
+    return calls
+
+
+def _calls_as_videos(calls, videos) -> list[list[str]]:
+    """Each call's chunk list as the ids of the whole videos it stacks, in
+    order; fails if a call holds part of a video."""
+    owner = {id(c.features): (vid, k) for vid, cs in videos.items()
+             for k, c in enumerate(cs)}
+    out = []
+    for features_list in calls:
+        chunks = [owner[id(f)] for f in features_list]
+        vids = list(dict.fromkeys(vid for vid, _ in chunks))
+        assert chunks == [(vid, k) for vid in vids for k in range(len(videos[vid]))]
+        out.append(vids)
+    return out
+
+
+EVALS = pytest.mark.parametrize("eval_task", [cli.eval_recognition, cli.eval_nlq],
+                                ids=["recognition", "nlq"])
+
+
+class TestEvalBatching:
+    def test_outputs_do_not_depend_on_batch_size(self, mixed_trained, tmp_path):
+        cfg, data, checkpoint = mixed_trained
+        _, _, videos = cli.load_dataset(data)
+        for chunks in videos.values():
+            assert [len(c.features) for c in chunks] == [100, 100, 60]
+        outputs = set()
+        for batch_size in (1, 3, 8, 64):
+            out = tmp_path / str(batch_size)
+            for task in ("recognition", "nlq"):
+                cli.cmd_eval(dataclasses.replace(cfg, batch_size=batch_size),
+                             data, out, task, checkpoint_path=checkpoint)
+            reports = [{k: v for k, v in json.loads(
+                (out / f"report_{task}.json").read_text()).items() if k != "config"}
+                for task in ("recognition", "nlq")]
+            outputs.add((json.dumps(reports, sort_keys=True),
+                         (out / "nlq_outcomes.csv").read_bytes()))
+        assert len(outputs) == 1
+
+    @EVALS
+    def test_short_videos_share_forwards(self, tmp_path, monkeypatch, eval_task):
+        """Nine 2-chunk videos at batch 8 run as ceil(9 / 4) = 3 forwards of
+        whole videos, in sorted id order."""
+        cfg = tiny_run_config(videos=9, batch_size=8)
+        cli.cmd_generate(cfg, tmp_path)
+        manifest, vocab, videos = cli.load_dataset(tmp_path)
+        model = cli.build_model(cfg)
+        calls = _record_forwards(monkeypatch)
+        eval_task(cfg, model, vocab, manifest, videos)
+        groups = _calls_as_videos(calls, videos)
+        assert len(groups) == math.ceil(len(videos) / 4)
+        assert [len(g) for g in groups] == [4, 4, 1]
+        assert [vid for g in groups for vid in g] == sorted(videos)
+
+    @EVALS
+    def test_video_longer_than_a_batch_runs_alone(self, mixed_trained, monkeypatch,
+                                                  eval_task):
+        cfg, data, _ = mixed_trained
+        cfg = dataclasses.replace(cfg, batch_size=2)
+        manifest, vocab, videos = cli.load_dataset(data)
+        model = cli.build_model(cfg)
+        calls = _record_forwards(monkeypatch)
+        eval_task(cfg, model, vocab, manifest, videos)
+        assert _calls_as_videos(calls, videos) == [[vid] for vid in sorted(videos)]
+        assert [len(c) for c in calls] == [3] * len(videos)
+
+
 class TestMainEntry:
     def test_generate_and_error_paths(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -679,6 +794,26 @@ class TestMainEntry:
         assert rc == 2
         assert captured.err.startswith("error: config:"), captured.err
         assert entry.split(":")[0].strip('"') in captured.err
+
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    @pytest.mark.parametrize("duration, fault", [
+        (1e308, "2^32 frames"), (1e30, "2^32 frames"), (101.0, "conv_kernel (7)")])
+    def test_duration_that_generate_cannot_cut(self, tmp_path, capsys, command,
+                                               duration, fault):
+        """A frame count that overflows, or does not fit the .maln header's
+        u32, or a 6-frame last chunk against a 7-frame conv kernel, is a
+        config error before any work."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"duration": duration}))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        if command == "eval":
+            argv += ["--data", str(tmp_path / "d"), "--task", "nlq",
+                     "--checkpoint", str(tmp_path / "c.malc")]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config:") and fault in err, err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     @pytest.mark.parametrize("key, value", [

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import finite_diff_check
 from momentset import tensor as tt
 from momentset.errors import ConfigError, InputTooShortError
-from momentset.model import ModelConfig, MomentSetModel
+from momentset.model import ModelConfig, MomentSetModel, _init_normal
 from momentset.tensor import Tensor
 
 
@@ -281,6 +283,13 @@ class TestForward:
         rng = np.random.default_rng(16)
         with pytest.raises(InputTooShortError, match="2 frames"):
             model.forward_chunks([rng.standard_normal((t, 6)) for t in (7, 2)])
+
+    @pytest.mark.parametrize("shape, fan_in", [((6, 8), 6), ((3, 8), 8), ((40, 50), 40)])
+    def test_seeded_init_is_a_scaled_normal_draw(self, shape, fan_in):
+        expect = np.random.default_rng(21).standard_normal(shape) / math.sqrt(fan_in)
+        got = _init_normal(shape, fan_in, np.random.default_rng(21))
+        assert got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
 
     def test_model_for_restore_has_the_seeded_layout(self):
         cfg = tiny_config()
