@@ -41,12 +41,23 @@ IOU_THRESHOLDS = (0.3, 0.5)
 # dataset generation
 # ---------------------------------------------------------------------------
 
+def _make_out_dir(out_dir: Path, empty: bool = False) -> None:
+    """Create ``out_dir`` and its parents. Raises ConfigError when ``empty``
+    and it already holds files, or when it cannot be checked or created
+    (say, a regular file has its name)."""
+    try:
+        if empty and out_dir.exists() and any(out_dir.iterdir()):
+            raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
+
+
 def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     config.validate()
     out_dir = Path(out_dir)
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
-    (out_dir / "chunks").mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir, empty=not force)
+    _make_out_dir(out_dir / "chunks")
 
     rng = np.random.default_rng([config.seed, 0])
     vocab = datagen.ConceptVocabulary.generate(
@@ -210,7 +221,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               video_ids: list[str] | None = None) -> Path:
     config.validate()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs]
     max_narr = max((len(c.narrations) for c in chunks), default=0)
@@ -275,12 +286,14 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _video_predictions(model: MomentSetModel, videos, batch_size: int):
+def _video_predictions(model: MomentSetModel, videos, batch_size: int, te: bool):
     """Yield (video_id, chunks, prediction) for each video in sorted id order.
 
     Whole videos share one stacked forward until it holds at least
     ``batch_size`` chunks or the videos run out; a video is never split.
-    A video's prediction is its rows of the stack, row k chunk k.
+    A video's prediction is its rows of the stack, row k chunk k. With
+    ``te`` False the forward skips the temporal head and the TE fields
+    are None.
     """
     vids = sorted(videos)
     start = 0
@@ -292,12 +305,12 @@ def _video_predictions(model: MomentSetModel, videos, batch_size: int):
         group = vids[start:stop]
         with tt.no_grad():
             pred = model.forward_chunks(
-                [c.features for vid in group for c in videos[vid]])
+                [c.features for vid in group for c in videos[vid]], te)
         row = 0
         for vid in group:
             chunks = videos[vid]
             yield vid, chunks, MomentPrediction(
-                *(tt.Tensor(f.data[row:row + len(chunks)])
+                *(None if f is None else tt.Tensor(f.data[row:row + len(chunks)])
                   for f in (pred.visual, pred.te_start, pred.te_end)))
             row += len(chunks)
         start = stop
@@ -305,10 +318,12 @@ def _video_predictions(model: MomentSetModel, videos, batch_size: int):
 
 def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
                      manifest, videos) -> dict:
+    """Video-level mAP of the mean class cosine of every visual embedding;
+    the score reads no TE, so the forward stops at the visual head."""
     scores = np.zeros((len(videos), vocab.size))
     labels = np.zeros((len(videos), vocab.size), dtype=bool)
     for r, (vid, _, pred) in enumerate(
-            _video_predictions(model, videos, config.batch_size)):
+            _video_predictions(model, videos, config.batch_size, te=False)):
         scores[r] = evaluate.recognition_scores(
             pred.visual.data, vocab.vectors).mean(axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
@@ -336,15 +351,17 @@ def decode_video_spans(table: TemporalTable, pred: MomentPrediction, durations,
     return ((np.arange(b) * chunk_seconds)[:, None, None] + spans).reshape(-1, 2)
 
 
-def nlq_video_candidates(visual: np.ndarray, spans: np.ndarray,
-                         query_vec: np.ndarray) -> list[tuple[float, float, float]]:
-    """All (score, start, end) candidates for one query, global timeline.
+def nlq_video_candidates(visual: np.ndarray, spans: np.ndarray, query_vec: np.ndarray,
+                         k: int | None = None) -> list[tuple[float, float, float]]:
+    """The top ``k`` (score, start, end) candidates for one query, global
+    timeline; all of them when ``k`` is None.
 
     ``visual`` and ``spans`` hold every query slot of a video's chunks,
     chunk-major (see decode_video_spans). Candidates are sorted by
     similarity, descending; ties keep chunk order, then slot order.
     """
     order, sims = evaluate.rank_queries(visual, query_vec)
+    order = order[:k]
     return [(score, s, e) for score, (s, e)
             in zip(sims[order].tolist(), spans[order].tolist())]
 
@@ -354,14 +371,15 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
     rows = []
     gt_intervals = []
     predictions = []
-    for vid, chunks, preds in _video_predictions(model, videos, config.batch_size):
+    for vid, chunks, preds in _video_predictions(model, videos, config.batch_size, te=True):
         meta = manifest["videos"][vid]
         visual = preds.visual.data.reshape(-1, preds.visual.data.shape[-1])
         spans = decode_video_spans(model.temporal, preds,
                                    [c.duration for c in chunks], meta["chunk_seconds"])
         for n in meta["narrations"]:
+            # the outcome row and the recall read only the top max(NLQ_TOPK)
             cands = nlq_video_candidates(
-                visual, spans, vocab.vectors[n["concept_id"]])
+                visual, spans, vocab.vectors[n["concept_id"]], max(NLQ_TOPK))
             intervals = [(s, e) for _, s, e in cands]
             gt = (n["a"], n["b"])
             gt_intervals.append(gt)
@@ -403,7 +421,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     manifest, vocab, videos = load_dataset(data_dir, video_ids)
     key = "labels" if task == "recognition" else "narrations"
     if not any(manifest["videos"][vid][key] for vid in videos):

@@ -69,10 +69,11 @@ class ModelConfig:
 @dataclass
 class MomentPrediction:
     """The predicted moment set: unit-row visual and start/end TE matrices,
-    with a leading B axis when the forward was stacked."""
-    visual: Tensor       # [B x] N x C
-    te_start: Tensor     # [B x] N x d
-    te_end: Tensor       # [B x] N x d
+    with a leading B axis when the forward was stacked. The TE matrices are
+    None when the forward skipped the temporal head (``te=False``)."""
+    visual: Tensor              # [B x] N x C
+    te_start: Tensor | None     # [B x] N x d
+    te_end: Tensor | None       # [B x] N x d
 
 
 def _init_normal(shape, fan_in, rng):
@@ -244,21 +245,27 @@ class MomentSetModel:
             x = x + _ffn(p, f"{pre}.ffn", _layernorm(p, f"{pre}.ln3", x))
         return x
 
-    def project(self, decoded: Tensor) -> MomentPrediction:
+    def project(self, decoded: Tensor, te: bool = True) -> MomentPrediction:
+        """The visual head, and with ``te`` the temporal head; without it the
+        prediction's TE matrices are None and that head is not computed."""
         p = self.params
         d = self.config.model_dim
         visual = tt.l2_normalize(_ffn(p, "head.visual", decoded))
-        te = _ffn(p, "head.temporal", decoded)
-        te_start = tt.l2_normalize(tt.narrow(te, -1, 0, d))
-        te_end = tt.l2_normalize(tt.narrow(te, -1, d, d))
+        if not te:
+            return MomentPrediction(visual, None, None)
+        te_out = _ffn(p, "head.temporal", decoded)
+        te_start = tt.l2_normalize(tt.narrow(te_out, -1, 0, d))
+        te_end = tt.l2_normalize(tt.narrow(te_out, -1, d, d))
         return MomentPrediction(visual, te_start, te_end)
 
-    def forward(self, features: np.ndarray) -> MomentPrediction:
-        """T x C frames -> N-row predictions; B x T x C -> B x N rows."""
-        return self.project(self.decode(self.encode(self.tokenize(features))))
+    def forward(self, features: np.ndarray, te: bool = True) -> MomentPrediction:
+        """T x C frames -> N-row predictions; B x T x C -> B x N rows.
+        ``te=False`` skips the temporal head (see project)."""
+        return self.project(self.decode(self.encode(self.tokenize(features))), te)
 
-    def forward_chunks(self, features_list) -> MomentPrediction:
-        """One stacked prediction whose row b is chunk b's (B x N x ...).
+    def forward_chunks(self, features_list, te: bool = True) -> MomentPrediction:
+        """One stacked prediction whose row b is chunk b's (B x N x ...);
+        ``te`` is passed on to forward.
 
         Chunks with the same frame count run as one stacked forward. Chunks
         are grouped rather than padded, because each chunk's temporal
@@ -277,9 +284,10 @@ class MomentSetModel:
             used = length - length % k if length >= k else length
             # the stacked batch is the one float64 copy of the frames
             stacks.append(self.forward(np.stack([features_list[i][:used] for i in idx],
-                                                dtype=np.float64)))
+                                                dtype=np.float64), te))
         if len(stacks) == 1:
             return stacks[0]
         rows = np.argsort(np.concatenate(list(groups.values())))  # chunk -> row
         fields = zip(*((s.visual, s.te_start, s.te_end) for s in stacks))
-        return MomentPrediction(*(tt.take(tt.cat(list(f)), rows) for f in fields))
+        return MomentPrediction(*(None if f[0] is None else tt.take(tt.cat(list(f)), rows)
+                                  for f in fields))

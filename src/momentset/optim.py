@@ -48,6 +48,12 @@ class Adam:
         raises OptimizerError (and non-contiguous storage ContractError) with
         no parameter, moment or count changed.
 
+        The check is one ``g . g`` per parameter, which allocates nothing. It
+        is not finite for a NaN or an inf, and also when the sum of squares
+        overflows: the refusal threshold is a gradient norm of about 1.3e154.
+        An entry whose ``(1-b2)*g*g`` would make ``v`` inf, and so freeze it
+        for good, is above about 4e155 and always refused.
+
         Each parameter is updated in place, block by block, through two
         block-sized scratch buffers. Every element goes through the same
         operations in the same order as the unblocked update
@@ -58,9 +64,13 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            if not np.all(np.isfinite(p.grad)):
+            g = p.grad.reshape(-1)
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                sq = np.dot(g, g)
+            if not np.isfinite(sq):
                 raise OptimizerError(
-                    f"non-finite gradient in parameter '{name}' at step {t}"
+                    f"non-finite or overflowing gradient in parameter '{name}' "
+                    f"at step {t}"
                 )
             # the update writes through flat views, and reshape would
             # silently copy a non-contiguous array

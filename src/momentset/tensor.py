@@ -355,10 +355,11 @@ def layernorm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
     ``bias``, also the affine ``y * gain + bias`` in the same node (the
     arithmetic of ``add(mul(layernorm(a), gain), bias)``)."""
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    # np.var's own arithmetic, keeping its centred copy for y
+    d = x - x.mean(axis=-1, keepdims=True)
+    var = (d * d).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    y = (x - mu) * inv
+    y = d * inv
     if gain is None:
         out, inputs = Tensor(y), (a,)
     else:

@@ -639,9 +639,9 @@ def _record_forwards(monkeypatch) -> list[list[np.ndarray]]:
     calls = []
     forward_chunks = MomentSetModel.forward_chunks
 
-    def spy(self, features_list):
+    def spy(self, features_list, te=True):
         calls.append(list(features_list))
-        return forward_chunks(self, features_list)
+        return forward_chunks(self, features_list, te)
 
     monkeypatch.setattr(MomentSetModel, "forward_chunks", spy)
     return calls
@@ -711,6 +711,20 @@ class TestEvalBatching:
         assert _calls_as_videos(calls, videos) == [[vid] for vid in sorted(videos)]
         assert [len(c) for c in calls] == [3] * len(videos)
 
+    def test_recognition_does_not_compute_the_temporal_head(self, mixed_trained):
+        """With a temporal head of the wrong shape, recognition (whose stacks
+        mix 100- and 60-frame chunks) reports exactly what it did before,
+        while NLQ, which decodes the TE, fails on that head."""
+        cfg, data, checkpoint = mixed_trained
+        manifest, vocab, videos = cli.load_dataset(data)
+        cfg, model = ckpt.load_model(checkpoint, cfg)
+        expect = cli.eval_recognition(cfg, model, vocab, manifest, videos)
+        model.params["head.temporal.fc1.w"] = tt.Tensor(np.zeros((1, 1)))
+        got = cli.eval_recognition(cfg, model, vocab, manifest, videos)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expect, sort_keys=True)
+        with pytest.raises(ShapeError, match="linear"):
+            cli.eval_nlq(cfg, model, vocab, manifest, videos)
+
 
 class TestMainEntry:
     def test_generate_and_error_paths(self, tmp_path, capsys):
@@ -764,6 +778,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: io:") and "ckpt.malc" in err, err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval"])
+    def test_out_is_a_regular_file(self, dataset, trained, tmp_path, capsys, command):
+        """An --out that names a file ends in a config error, not an OSError
+        traceback, and the file is left as it was."""
+        cfg, data = dataset
+        out = tmp_path / "afile"
+        out.write_text("keep")
+        argv = [command, "--out", str(out)]
+        if command != "generate":
+            argv += ["--data", str(data)]
+        if command == "eval":
+            argv += ["--checkpoint", str(trained), "--task", "recognition"]
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config: output directory") and "afile" in err, err
+        assert out.read_text() == "keep"
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -174,6 +174,8 @@ class TestNlqInfer:
             got = cli.nlq_video_candidates(visual, spans, q)
             assert len({c[0] for c in got}) < len(got)  # the ties are there
             assert got == expect
+            for k in (1, 5, 6, len(got), len(got) + 3):
+                assert cli.nlq_video_candidates(visual, spans, q, k) == expect[:k]
 
 
 class TestIouRecall:

@@ -242,6 +242,17 @@ class TestForward:
                 assert got.data[b].shape == expect.data.shape
                 np.testing.assert_allclose(got.data[b], expect.data, atol=1e-12)
 
+    def test_forward_chunks_without_te_keep_the_visual_bits(self):
+        """te=False returns no TE and the visual rows of the full forward,
+        bit for bit, for mixed lengths put back in input order."""
+        model = make(tiny_config())
+        rng = np.random.default_rng(16)
+        chunks = [rng.standard_normal((t, 6)) for t in (12, 9, 12)]
+        full = model.forward_chunks(chunks)
+        visual_only = model.forward_chunks(chunks, te=False)
+        assert visual_only.te_start is None and visual_only.te_end is None
+        assert visual_only.visual.data.tobytes() == full.visual.data.tobytes()
+
     def test_forward_chunks_stack_whole_windows(self, monkeypatch):
         model = make(tiny_config())
         seen = []

@@ -67,6 +67,30 @@ def test_nan_in_last_gradient_changes_nothing():
         np.testing.assert_array_equal(opt.v[k], before[2][k])
 
 
+def test_overflowing_gradient_is_refused_before_any_write():
+    """An entry of 1e160 would make its v inf and freeze it for good; its
+    square overflows the g . g check, so the step is refused like a NaN.
+    An entry of 1e150 squares to a finite 1e300 and is taken."""
+    rng = np.random.default_rng(2)
+    params = {k: Tensor(rng.standard_normal(4), requires_grad=True) for k in ("a", "b")}
+    opt = Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = rng.standard_normal(4)
+    opt.step()
+    before = [(p.data.copy(), opt.m[k].copy(), opt.v[k].copy())
+              for k, p in params.items()]
+    params["b"].grad[2] = 1e160
+    with pytest.raises(OptimizerError, match="'b' at step 2"):
+        opt.step()
+    assert opt.step_count == 1
+    for (k, p), (data, m, v) in zip(params.items(), before):
+        assert p.data.tobytes() == data.tobytes()
+        assert opt.m[k].tobytes() == m.tobytes() and opt.v[k].tobytes() == v.tobytes()
+    params["b"].grad[2] = 1e150
+    opt.step()
+    assert opt.step_count == 2 and np.all(np.isfinite(opt.v["b"]))
+
+
 def test_skips_params_without_grad():
     p = Tensor(np.array(1.0), requires_grad=True)
     q = Tensor(np.array(2.0), requires_grad=True)

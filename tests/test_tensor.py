@@ -314,6 +314,29 @@ class TestFusedOps:
         tt.layernorm(x, gain, bias)
         assert tt.tape_size() == 1
 
+    @pytest.mark.parametrize("shape", [(12, 42, 64), (2, 84, 512), (3, 7), (5, 1000),
+                                       (4, 33, 130)])
+    def test_layernorm_centres_once_bit_for_bit(self, shape):
+        """The node centres its input once and sums the squares itself, which
+        is np.var's arithmetic: the bytes of normalising with x.mean and
+        x.var, forward and backward."""
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal(shape) * 3.0 + 1.5, requires_grad=True)
+        gain = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        bias = Tensor(rng.standard_normal(shape[-1]), requires_grad=True)
+        g = rng.standard_normal(shape)
+        xd = x.data
+        inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-6)
+        y = (xd - xd.mean(axis=-1, keepdims=True)) * inv
+        gy = g * gain.data
+        x_grad = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                        - y * (gy * y).mean(axis=-1, keepdims=True))
+        expect = (y * gain.data + bias.data,
+                  [x_grad, tt._unbroadcast(g * y, gain.data.shape),
+                   tt._unbroadcast(g, bias.data.shape)])
+        _assert_same_bits(
+            _grads_of(lambda: tt.layernorm(x, gain, bias), [x, gain, bias], g), expect)
+
     def test_finite_differences(self):
         rng = np.random.default_rng(23)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
