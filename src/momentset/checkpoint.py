@@ -1,11 +1,15 @@
-"""Binary checkpoint format (little-endian):
+"""Binary checkpoint format, version 2 (little-endian):
 
   "MALC" | u32 version | u32 config-json length | config JSON (utf8) |
-  u64 epochs_done | u64 optimizer step | u32 tensor count |
-  per tensor: u32 name length | name utf8 | u32 ndim | u32 dims... |
-              float64 payload row-major
+  u64 epochs_done | u64 optimizer step |
+  float64 payloads, row-major, back to back: every model parameter in
+  model.param_shapes order, then each parameter's Adam "opt.m" and "opt.v"
 
-Model parameters are stored under their own names, Adam moments under
+The file states no tensor names or shapes: the config snapshot's model
+fields fix them through model.param_shapes, and the loader requires the
+file to be exactly as long as that layout. A version 1 file (which had a
+per-tensor name and shape table) is refused with VersionMismatchError.
+``tensors`` keeps parameters under their own names and Adam moments under
 "opt.m.<name>" / "opt.v.<name>". Round trips are bit-exact.
 """
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .model import ModelConfig, MomentSetModel, param_shapes
 from .optim import Adam
 
 MAGIC = b"MALC"
-VERSION = 1
+VERSION = 2
 
 # Eval builds its model from the snapshot's model fields (load_model); a
 # resumed run must also share the optimizer schedule (restore). Fields are
@@ -47,9 +51,9 @@ class CheckpointData:
 
 def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                     optimizer: Adam, epochs_done: int):
-    tensors: dict[str, np.ndarray] = {k: p.data for k, p in model.params.items()}
+    arrays = [p.data for p in model.params.values()]
     for k in model.params:
-        tensors[f"opt.m.{k}"], tensors[f"opt.v.{k}"] = optimizer.moments(k)
+        arrays += optimizer.moments(k)
     cfg_bytes = config.to_json().encode("utf-8")
     # write a temp file beside the target and rename it into place, so a
     # failed save leaves the previous checkpoint as it was
@@ -58,13 +62,8 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
         with open(tmp, "wb") as f:
             f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
             f.write(cfg_bytes)
-            f.write(struct.pack("<QQI", epochs_done, optimizer.step_count, len(tensors)))
-            for name, arr in tensors.items():
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(struct.pack("<QQ", epochs_done, optimizer.step_count))
+            for arr in arrays:
                 # a C-contiguous <f8 array is its own payload: write its
                 # buffer, no bytes copy
                 f.write(np.ascontiguousarray(arr, dtype="<f8").data)
@@ -83,12 +82,36 @@ def _unpack(f, size: int, fmt: str, path, what: str):
     return struct.unpack(fmt, f.read(n))
 
 
-def load_checkpoint(path, moments: bool = True) -> CheckpointData:
-    """Read each tensor once, into its own array; every size is checked
-    against the rest of the file before any read or allocation.
+def _layout(snapshot: dict, payload_bytes: int, path) -> list[tuple[str, tuple]]:
+    """The parameter (name, shape) list of the snapshot's model, after
+    checking that its parameters and their two moments fill exactly
+    ``payload_bytes``. The sum stops at the first overrun, so a snapshot
+    that claims a huge model is refused without listing it."""
+    try:  # a missing field reads as None, which from_dict rejects by type
+        config = RunConfig.from_dict({k: snapshot.get(k) for k in MODEL_FIELDS})
+        config.model_config().validate()
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
+    shapes, need = [], 0
+    for name, shape in param_shapes(config):
+        need += 3 * 8 * math.prod(shape)
+        if need > payload_bytes:
+            raise CheckpointError(f"{path}: the snapshot's model needs more than the "
+                                  f"file's {payload_bytes} payload bytes")
+        shapes.append((name, shape))
+    if need != payload_bytes:
+        raise CheckpointError(f"{path}: {payload_bytes - need} bytes after the "
+                              "snapshot's model and its moments")
+    return shapes
 
-    With ``moments=False`` the Adam moments ("opt.*") are size-checked the
-    same way and then skipped unread, so ``tensors`` holds the model only.
+
+def load_checkpoint(path, moments: bool = True) -> CheckpointData:
+    """Read each tensor once, into its own array, in the layout that the
+    snapshot's model fields imply; the snapshot and the file size are
+    checked against that layout before any array is allocated.
+
+    With ``moments=False`` the read stops after the model parameters, so
+    ``tensors`` holds the model only.
     """
     try:
         f = open(path, "rb")
@@ -108,66 +131,35 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
             raise CheckpointError(f"{path}: unreadable config block ({e})") from e
         if not isinstance(config, dict):
             raise CheckpointError(f"{path}: config block is not a JSON object")
-        epochs_done, step, count = _unpack(f, size, "<QQI", path, "counters")
+        epochs_done, step = _unpack(f, size, "<QQ", path, "counters")
+        layout = _layout(config, size - f.tell(), path)
+        if moments:
+            layout += [(f"opt.{m}.{name}", shape) for name, shape in layout for m in "mv"]
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = _unpack(f, size, "<I", path, "tensor table")
-            (name_bytes,) = _unpack(f, size, f"<{name_len}s", path, "tensor table")
-            name = name_bytes.decode("utf-8", errors="replace")
-            (ndim,) = _unpack(f, size, "<I", path, "tensor table")
-            shape = _unpack(f, size, f"<{ndim}I", path, "tensor table")
-            nbytes = 8 * math.prod(shape)
-            if size - f.tell() < nbytes:
-                raise TruncatedFileError(f"{path}: truncated payload for '{name}'")
-            if not moments and name.startswith("opt."):
-                f.seek(nbytes, os.SEEK_CUR)
-                continue
-            try:
-                arr = np.empty(shape, dtype="<f8")
-            except ValueError as e:  # more axes than numpy supports
-                raise CheckpointError(f"{path}: bad shape for '{name}' ({e})") from e
+        for name, shape in layout:
+            arr = np.empty(shape, dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise TruncatedFileError(f"{path}: short read for '{name}'")
             tensors[name] = arr
     return CheckpointData(config, epochs_done, step, tensors)
 
 
-def _check_tensors(data: CheckpointData, shapes, where: str):
-    """Raise CheckpointError unless the tensor table holds exactly the
-    (name, shape) pairs of ``shapes``. ``shapes`` is read lazily, so the
-    check stops at the first name the table lacks."""
-    names = set()
-    for name, shape in shapes:
-        if name not in data.tensors:
-            raise CheckpointError(f"{where}: checkpoint is missing tensor '{name}'")
-        if data.tensors[name].shape != shape:
-            raise CheckpointError(f"{where}: shape mismatch for tensor '{name}'")
-        names.add(name)
-    extra = sorted(data.tensors.keys() - names)
-    if extra:
-        raise CheckpointError(f"{where}: {len(extra)} tensors, first '{extra[0]}', "
-                              "are not in the model")
-
-
 def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
     """The model a checkpoint holds, for eval: ``config`` with its
     ModelConfig fields replaced by the snapshot's, and a model of that
-    config holding the checkpoint's parameters. Adam moments are skipped
-    unread.
+    config holding the checkpoint's parameters. Adam moments are not read.
 
     Raises CheckpointError when the snapshot lacks a model field, has one
-    of the wrong type or fails ``validate``, or when the tensor table's
-    parameters are not exactly that model's names and shapes. All of it is
-    checked before any model array is allocated.
+    of the wrong type or fails ``validate``, or when the file is not exactly
+    as long as that model's layout. All of it is checked before any model
+    array is allocated.
     """
     data = load_checkpoint(path, moments=False)
-    try:  # a missing field reads as None, which from_dict rejects by type
-        config = RunConfig.from_dict(
-            {**config.to_dict(), **{k: data.config.get(k) for k in MODEL_FIELDS}})
+    try:  # the snapshot's fields are checked; the run's other fields may not fit them
+        config = dataclasses.replace(config, **{k: data.config[k] for k in MODEL_FIELDS})
         config.validate()
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
-    _check_tensors(data, param_shapes(config), path)
     model = MomentSetModel(config.model_config(), rng=None)
     for name, p in model.params.items():
         p.data = data.tensors[name]
@@ -180,17 +172,14 @@ def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
 
     Takes ownership of ``data``'s arrays: the model and the optimizer hold
     them afterwards, uncopied, so ``data`` must not be restored again. The
-    IDENTITY_FIELDS of the snapshot and ``config`` must match, and the
-    tensor table must hold exactly the parameters and their moments. All of
-    it is checked before anything is assigned, so a bad checkpoint changes
-    nothing.
+    IDENTITY_FIELDS of the snapshot and ``config`` must match, which fixes
+    the parameter layout too; a mismatch is raised before anything is
+    assigned, so a bad checkpoint changes nothing.
     """
     differ = [k for k in IDENTITY_FIELDS if data.config.get(k) != getattr(config, k)]
     if differ:
         raise CheckpointError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
-    _check_tensors(data, ((key, p.data.shape) for name, p in model.params.items()
-                          for key in (name, f"opt.m.{name}", f"opt.v.{name}")), "resume")
     for name, p in model.params.items():
         p.data = data.tensors[name]
     optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}

@@ -224,6 +224,8 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
     _make_out_dir(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs]
+    if not chunks:
+        raise ConfigError(f"nothing to train: no videos selected from {data_dir}")
     max_narr = max((len(c.narrations) for c in chunks), default=0)
     if max_narr > config.queries:
         raise ConfigError(
@@ -240,6 +242,9 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
         data = ckpt.load_checkpoint(resume_from)
         ckpt.restore(data, config, model, optimizer)
         start_epoch = data.epochs_done
+        if start_epoch >= config.epochs:
+            raise ConfigError(f"nothing to train: {resume_from} already holds "
+                              f"{start_epoch} of the run's {config.epochs} epochs")
         if log_path.exists():
             cut_train_log(log_path, data.step)
 

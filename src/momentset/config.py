@@ -75,6 +75,8 @@ class RunConfig(ModelConfig):
                             f"than 2^32 frames")
         if self.lr <= 0:
             problems.append("lr must be positive")
+        if self.seed < 0:  # np.random.default_rng takes no negative entropy
+            problems.append("seed must be >= 0")
         if self.videos < 1 or self.vocab_size < 1:
             problems.append("videos and vocab_size must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:

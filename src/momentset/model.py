@@ -97,10 +97,10 @@ def _layernorm_shapes(name, dim):
 
 def param_shapes(config: ModelConfig):
     """Yield every parameter's (name, shape) in the model's order, which is
-    also the checkpoint's tensor order and the order of the init draws.
+    also the checkpoint's payload order and the order of the init draws.
 
-    Lazy, so checking a config against a checkpoint's tensor table stops at
-    the first name the table lacks, however many layers the config claims.
+    Lazy, so sizing a checkpoint's snapshot against its file stops at the
+    first overrun, however many layers the snapshot claims.
     """
     c, d = config, config.model_dim
     yield from _linear_shapes("conv", c.conv_kernel * c.feature_dim, d)

@@ -22,7 +22,6 @@ from momentset.errors import (
     FeatureStoreError,
     MomentSetError,
     ShapeError,
-    TruncatedFileError,
 )
 from momentset.model import ModelConfig, MomentSetModel
 
@@ -193,6 +192,26 @@ class TestLoadDataset:
             cli.load_dataset(bad)
 
 
+def _resumable(cfg):
+    """A model and an optimizer with moments and a step count, as a resumed
+    run holds them, and copies to compare with after a failed restore."""
+    model = cli.build_model(cfg)
+    opt = cli.build_optimizer(cfg, model)
+    opt.m = {k: np.ones_like(p.data) for k, p in model.params.items()}
+    opt.v = {k: np.ones_like(p.data) for k, p in model.params.items()}
+    opt.step_count = 4
+    kept = ({k: p.data.copy() for k, p in model.params.items()}, opt.m, opt.v)
+    return model, opt, kept
+
+
+def _assert_unchanged(model, opt, kept):
+    params, m, v = kept
+    for k, p in model.params.items():
+        np.testing.assert_array_equal(p.data, params[k])
+    assert (opt.m, opt.v, opt.step_count) == (m, v, 4)
+    assert all((a == 1.0).all() for a in (*m.values(), *v.values()))
+
+
 class TestTrain:
     def test_log_rows_and_checkpoint(self, dataset, tmp_path):
         cfg, data = dataset
@@ -240,12 +259,9 @@ class TestTrain:
             tensors[f"opt.v.{k}"] = opt.v.get(k, zeros)
         assert "queries" not in opt.m
         cfg_bytes = cfg.to_json().encode()
-        expect = [struct.pack("<4sII", b"MALC", 1, len(cfg_bytes)), cfg_bytes,
-                  struct.pack("<QQI", 2, 1, len(tensors))]
-        for name, arr in tensors.items():
-            expect += [struct.pack("<I", len(name)), name.encode(),
-                       struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape),
-                       arr.astype("<f8").tobytes()]
+        expect = [struct.pack("<4sII", b"MALC", 2, len(cfg_bytes)), cfg_bytes,
+                  struct.pack("<QQ", 2, 1)]
+        expect += [arr.astype("<f8").tobytes() for arr in tensors.values()]
         assert path.read_bytes() == b"".join(expect)
 
     def test_restore_rejects_config_mismatch(self, dataset, tmp_path):
@@ -255,10 +271,10 @@ class TestTrain:
         path = tmp_path / "c.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         other = tiny_run_config(lr=5e-4)
+        target, opt, kept = _resumable(other)
         with pytest.raises(CheckpointError, match=r"config does not match.*\(lr\)"):
-            ckpt.restore(ckpt.load_checkpoint(path), other,
-                         cli.build_model(other),
-                         cli.build_optimizer(other, cli.build_model(other)))
+            ckpt.restore(ckpt.load_checkpoint(path), other, target, opt)
+        _assert_unchanged(target, opt, kept)
 
     def test_restore_model_only_checks_model_fields(self, dataset, tmp_path):
         """The eval load takes the model from the checkpoint whatever the
@@ -329,57 +345,26 @@ class TestTrain:
             assert opt2.m[name] is data.tensors[f"opt.m.{name}"]
             assert opt2.v[name] is data.tensors[f"opt.v.{name}"]
 
-    def test_corrupt_tensor_shape_allocates_nothing(self, tmp_path):
-        path = tmp_path / "shape.malc"
-        for dims, error in (((2 ** 31, 2 ** 31), TruncatedFileError),
-                            ((1,) * 65, CheckpointError)):
-            path.write_bytes(
-                struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, 2) + b"{}"
-                + struct.pack("<QQI", 0, 0, 1) + struct.pack("<I", 1) + b"x"
-                + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + bytes(8))
-            with pytest.raises(error, match="'x'"):
-                ckpt.load_checkpoint(path)
-
-    def test_restore_missing_moments_changes_nothing(self, dataset, tmp_path):
+    @pytest.mark.parametrize("edit, match", [
+        (lambda blob: blob + b"\0", "1 bytes after"),
+        (lambda blob: blob[:-1], "needs more than"),
+    ], ids=["trailing_byte", "one_byte_short"])
+    def test_both_loaders_reject_a_file_of_another_size(self, dataset, tmp_path,
+                                                       edit, match):
+        """A byte after the last moment, or a last moment one byte short,
+        fails the eval load and the resume alike, and the resume changes
+        neither the model nor the optimizer."""
         cfg, _ = dataset
         model = cli.build_model(cfg)
-        path = tmp_path / "m.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
-        for key in ("opt.m.queries", "opt.v.queries"):
-            data = ckpt.load_checkpoint(path)
-            del data.tensors[key]
-            target = cli.build_model(cfg)
-            for p in target.params.values():
-                p.data = p.data + 1.0
-            before = {k: p.data.copy() for k, p in target.params.items()}
-            with pytest.raises(CheckpointError, match=key):
-                ckpt.restore(data, cfg, target, cli.build_optimizer(cfg, target))
-            for k, p in target.params.items():
-                np.testing.assert_array_equal(p.data, before[k])
-
-    def test_both_loaders_reject_an_extra_tensor(self, dataset, tmp_path):
-        """A tensor outside the model fails the eval load and the resume
-        alike, and the resume changes neither the model nor the optimizer."""
-        cfg, _ = dataset
-        model = cli.build_model(cfg)
-        model.params["extra"] = tt.Tensor(np.zeros(3), requires_grad=True)
         path = tmp_path / "x.malc"
         ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
-        with pytest.raises(CheckpointError, match="'extra'"):
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=match):
             ckpt.load_model(path, cfg)
-        target = cli.build_model(cfg)
-        opt = cli.build_optimizer(cfg, target)
-        opt.m = {k: np.ones_like(p.data) for k, p in target.params.items()}
-        opt.v = {k: np.ones_like(p.data) for k, p in target.params.items()}
-        opt.step_count = 4
-        before = {k: p.data.copy() for k, p in target.params.items()}
-        m, v = opt.m, opt.v
-        with pytest.raises(CheckpointError, match="'extra'"):
+        target, opt, kept = _resumable(cfg)
+        with pytest.raises(CheckpointError, match=match):
             ckpt.restore(ckpt.load_checkpoint(path), cfg, target, opt)
-        for k, p in target.params.items():
-            np.testing.assert_array_equal(p.data, before[k])
-        assert (opt.m, opt.v, opt.step_count) == (m, v, 4)
-        assert all((a == 1.0).all() for a in (*m.values(), *v.values()))
+        _assert_unchanged(target, opt, kept)
 
     def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -422,7 +407,7 @@ class TestTrain:
         for cfg_bytes, match in ((b"{", "unreadable"), (b"\xff", "unreadable"),
                                  (b"[]", "JSON object")):
             path.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
-                             + cfg_bytes + struct.pack("<QQI", 0, 0, 0))
+                             + cfg_bytes + struct.pack("<QQ", 0, 0))
             with pytest.raises(CheckpointError, match=match):
                 ckpt.load_checkpoint(path)
 
@@ -797,6 +782,65 @@ class TestMainEntry:
         assert err.startswith("error: config: output directory") and "afile" in err, err
         assert out.read_text() == "keep"
 
+    def test_version_1_checkpoint_is_a_format_error(self, dataset, trained, tmp_path,
+                                                    capsys):
+        """A checkpoint of the old format, with its per-tensor table, is
+        refused by its version, before anything else of it is read."""
+        cfg, data = dataset
+        path = tmp_path / "v1.malc"
+        blob = trained.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        for argv in (["eval", "--task", "nlq"], ["train"]):
+            rc = cli.main([*argv, "--data", str(data), "--out", str(tmp_path / "o"),
+                           "--checkpoint", str(path)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: format:") and "version 1, expected 2" in err, err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_seed_flag(self, dataset, tmp_path, capsys, command):
+        _, data = dataset
+        argv = [command, "--out", str(tmp_path / "o"), "--seed", "-1"]
+        rc = cli.main(argv + (["--data", str(data)] if command == "train" else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config: seed must be >= 0"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_dataset_with_no_videos_is_nothing_to_train(self, dataset, tmp_path, capsys):
+        cfg, data = dataset
+        empty = tmp_path / "data"
+        shutil.copytree(data, empty)
+        _rewrite_manifest(lambda m: {**m, "videos": {}})(empty)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(empty),
+                       "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: config: nothing to train"), err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_resume_of_a_finished_run_is_nothing_to_train(self, dataset, trained,
+                                                          tmp_path, capsys):
+        """Resuming a checkpoint that holds every epoch of the run writes
+        nothing, into a new --out or into the run's own."""
+        cfg, data = dataset
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        run = tmp_path / "run"
+        shutil.copytree(trained.parent, run)
+        before = tree_digest(run)
+        for out in (tmp_path / "new", run):
+            rc = cli.main(["train", "--config", str(cfg_path), "--data", str(data),
+                           "--out", str(out), "--checkpoint", str(run / cli.CHECKPOINT_NAME)])
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err.startswith("error: config: nothing to train") \
+                and f"2 of the run's {cfg.epochs} epochs" in captured.err, captured.err
+        assert list((tmp_path / "new").iterdir()) == []
+        assert tree_digest(run) == before
+
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -851,7 +895,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("key, value", [
         ("duration", math.nan), ("duration", math.inf), ("chunk_seconds", math.nan),
         ("noise_level", math.inf), ("lr", math.nan), ("lr", -math.inf), ("lr", 0.0),
-        ("lr", -1e-3), ("videos", 0), ("vocab_size", 0),
+        ("lr", -1e-3), ("videos", 0), ("vocab_size", 0), ("seed", -3),
     ])
     def test_config_value_that_spoils_a_run(self, dataset, tmp_path, capsys,
                                             command, key, value):
@@ -1022,25 +1066,11 @@ def test_bad_vocabulary_is_a_clean_error(dataset, trained, tmp_path, capsys, com
     assert err.startswith("error: io:") and cli.VOCAB_NAME in err, err
 
 
-def _checkpoint_frame_offsets(blob: bytes) -> tuple[list[int], list[int]]:
-    """Offsets of the bytes of a checkpoint's header (magic, version, config
-    block, counters) and tensor table, and of each payload's last byte."""
+def _checkpoint_frame_offsets(blob: bytes) -> list[int]:
+    """Offsets of the bytes of a checkpoint's frame: magic, version, config
+    block and counters, everything before the first payload."""
     (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    off = 12 + cfg_len + 20
-    (count,) = struct.unpack_from("<I", blob, off - 4)
-    frame, payload_ends = list(range(off)), []
-    for _ in range(count):
-        start = off
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4 + name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        shape = struct.unpack_from(f"<{ndim}I", blob, off + 4)
-        off += 4 + 4 * ndim
-        frame += range(start, off)
-        off += 8 * math.prod(shape)
-        payload_ends.append(off - 1)
-    assert off == len(blob)
-    return frame, payload_ends
+    return list(range(12 + cfg_len + 16))
 
 
 class TestFuzz:
@@ -1053,10 +1083,10 @@ class TestFuzz:
         good = tmp_path / "good.malc"
         ckpt.save_checkpoint(good, cfg, model, cli.build_optimizer(cfg, model), 1)
         blob = good.read_bytes()
-        frame, payload_ends = _checkpoint_frame_offsets(blob)
+        frame = _checkpoint_frame_offsets(blob)
         path = tmp_path / "flipped.malc"
         typed = typed_eval = 0
-        for i in frame + payload_ends:
+        for i in frame:
             for bit in (0, 7):
                 flipped = bytearray(blob)
                 flipped[i] ^= 1 << bit
