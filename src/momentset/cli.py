@@ -102,31 +102,31 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     return out_dir / MANIFEST_NAME
 
 
-def _check_concepts(ids, vocab: datagen.ConceptVocabulary, path: Path):
-    bad = [c for c in ids if isinstance(c, bool)
-           or not (isinstance(c, int) and 0 <= c < vocab.size)]
-    if bad:
-        raise FeatureStoreError(
-            f"{path}: concept ids {bad} outside the vocabulary of {vocab.size}")
+def _finite(v) -> bool:
+    """A JSON number that a float holds finitely; an int too large for a
+    float is refused, where math.isfinite would raise OverflowError."""
+    return is_number(v) and abs(v) <= sys.float_info.max
 
 
 # what load_dataset and eval read of each manifest video entry
 _VIDEO_FIELDS = {
-    "duration": is_number,
+    "duration": _finite,
     "fps": is_number,
-    "chunk_seconds": is_number,
+    "chunk_seconds": lambda v: _finite(v) and v > 0,
     "chunks": lambda v: isinstance(v, list) and v != [] and all(
         isinstance(c, str) for c in v),
     "labels": lambda v: isinstance(v, list),
     "narrations": lambda v: isinstance(v, list) and all(
         isinstance(n, dict) and "concept_id" in n
-        and is_number(n.get("a")) and is_number(n.get("b")) for n in v),
+        and all(is_number(n.get(k)) for k in ("t", "a", "b")) for n in v),
 }
 
 
 def _check_manifest(manifest, path: Path):
     """Raise FeatureStoreError naming ``path`` unless the manifest has the
-    keys and value types that the dataset readers index."""
+    keys and value types that the dataset readers index, and narration
+    times that interval sampling can take: every t, a and b finite, and
+    each t in [0, duration] and no earlier than the one before it."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("vocab"), str)
             and isinstance(manifest.get("videos"), dict)):
         raise FeatureStoreError(
@@ -138,6 +138,13 @@ def _check_manifest(manifest, path: Path):
         if bad:
             raise FeatureStoreError(
                 f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
+        times = [n["t"] for n in meta["narrations"]]
+        if not (all(_finite(n[k]) for n in meta["narrations"] for k in "tab")
+                and all(0.0 <= t <= meta["duration"] for t in times)
+                and all(s <= t for s, t in zip(times, times[1:]))):
+            raise FeatureStoreError(
+                f"{path}: video '{vid}' narration times must be finite, with each "
+                f"t in [0, {meta['duration']}] and in non-decreasing order")
 
 
 def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
@@ -145,10 +152,11 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
     ``video_ids`` in that order, or for every manifest video.
 
     The whole manifest is checked, but only the selected videos' chunk files
-    are read. Raises ConfigError for a video id the manifest lacks, and
-    FeatureStoreError naming the file for a manifest without the expected
-    keys and types, a concept id outside the vocab, or a chunk whose
-    feature width is not the vocab's."""
+    are read; each chunk takes its narrations from its video's manifest
+    entry (datagen.chunk_narrations). Raises ConfigError for a video id the
+    manifest lacks, and FeatureStoreError naming the file for a manifest
+    without the expected keys, types and narration times, a concept id
+    outside the vocab, or a chunk whose feature width is not the vocab's."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     try:
@@ -167,12 +175,18 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
         raise ConfigError(f"video ids {unknown} are not in {manifest_path}")
     vocab = datagen.ConceptVocabulary.load(data_dir / manifest["vocab"])
     for meta in manifest["videos"].values():
-        _check_concepts(meta["labels"] + [n["concept_id"] for n in meta["narrations"]],
-                        vocab, manifest_path)
+        bad = [c for c in meta["labels"] + [n["concept_id"] for n in meta["narrations"]]
+               if isinstance(c, bool) or not (isinstance(c, int) and 0 <= c < vocab.size)]
+        if bad:
+            raise FeatureStoreError(f"{manifest_path}: concept ids {bad} outside "
+                                    f"the vocabulary of {vocab.size}")
     videos: dict[str, list[datagen.VideoRecord]] = {}
     for vid in video_ids:
         meta = manifest["videos"][vid]
         cs = meta["chunk_seconds"]
+        narrations = datagen.chunk_narrations(
+            [datagen.Narration(n["concept_id"], n["t"], n["a"], n["b"])
+             for n in meta["narrations"]], meta["duration"], cs, len(meta["chunks"]))
         chunks = []
         for k, rel in enumerate(meta["chunks"]):
             dur = min(cs, meta["duration"] - k * cs)
@@ -181,7 +195,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
                 raise FeatureStoreError(
                     f"{data_dir / rel}: feature width {chunk.features.shape[1]}, "
                     f"vocabulary width {vocab.dim}")
-            _check_concepts([n.concept_id for n in chunk.narrations], vocab, data_dir / rel)
+            chunk.narrations = narrations[k]
             chunks.append(chunk)
         videos[vid] = chunks
     return manifest, vocab, videos
@@ -221,7 +235,6 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               video_ids: list[str] | None = None) -> Path:
     config.validate()
     out_dir = Path(out_dir)
-    _make_out_dir(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs]
     if not chunks:
@@ -237,7 +250,6 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
              else MomentSetModel(config.model_config(), rng=None))
     optimizer = build_optimizer(config, model)
     start_epoch = 0
-    log_path = out_dir / TRAIN_LOG_NAME
     if resume_from is not None:
         data = ckpt.load_checkpoint(resume_from)
         ckpt.restore(data, config, model, optimizer)
@@ -245,8 +257,11 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
         if start_epoch >= config.epochs:
             raise ConfigError(f"nothing to train: {resume_from} already holds "
                               f"{start_epoch} of the run's {config.epochs} epochs")
-        if log_path.exists():
-            cut_train_log(log_path, data.step)
+    # --out is made only once the dataset and the checkpoint are accepted
+    _make_out_dir(out_dir)
+    log_path = out_dir / TRAIN_LOG_NAME
+    if resume_from is not None and log_path.exists():
+        cut_train_log(log_path, data.step)
 
     fixed_samples = None
     if config.freeze_intervals:
@@ -421,17 +436,18 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     ignored, so the scores depend only on the checkpoint and the dataset.
     Raises ConfigError, before the checkpoint is read, when the selected
     videos have no label (recognition) or no narration (nlq) to score.
+    ``out_dir`` is made only once the dataset and the checkpoint are read.
     """
     config.validate()
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")
     out_dir = Path(out_dir)
-    _make_out_dir(out_dir)
     manifest, vocab, videos = load_dataset(data_dir, video_ids)
     key = "labels" if task == "recognition" else "narrations"
     if not any(manifest["videos"][vid][key] for vid in videos):
         raise ConfigError(f"nothing to evaluate: the selected videos have no {key}")
     config, model = ckpt.load_model(checkpoint_path, config)
+    _make_out_dir(out_dir)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)
     else:

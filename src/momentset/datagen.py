@@ -10,7 +10,6 @@ the one float64 copy.
 """
 from __future__ import annotations
 
-import math
 import struct
 import zipfile
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from .errors import (
 )
 
 MAGIC = b"MALN"
-VERSION = 1
+VERSION = 2
 
 # the largest |norm - 1| of a row that must be unit: a vocabulary vector,
 # or a predicted row that the loss takes
@@ -181,38 +180,43 @@ def chunk_frames(k: np.ndarray, chunk_seconds: float, fps: int,
     return f0, f1
 
 
+def chunk_narrations(narrations: list[Narration], duration: float,
+                     chunk_seconds: float, n_chunks: int) -> list[list[Narration]]:
+    """Each chunk's narrations, chunk k first: a narration lands in the chunk
+    containing its timestamp, re-based to the chunk start, with its
+    timestamp and true interval clipped to the chunk; the last chunk may be
+    short."""
+    chunks: list[list[Narration]] = [[] for _ in range(n_chunks)]
+    for n in narrations:
+        k = min(int(n.t // chunk_seconds), n_chunks - 1)
+        off = k * chunk_seconds
+        dur = min(chunk_seconds, duration - off)
+        chunks[k].append(Narration(n.concept_id, min(max(n.t - off, 0.0), dur),
+                                   max(n.a - off, 0.0), min(n.b - off, dur)))
+    return chunks
+
+
 def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """Split into consecutive non-overlapping chunks; last one may be short.
-
-    Narrations land in the chunk containing their timestamp, re-based to the
-    chunk start; timestamps and true intervals are clipped to the chunk.
-    """
+    Narrations are cut as chunk_narrations cuts them."""
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
     n_chunks = int(np.ceil(record.duration / chunk_seconds))
     f0, f1 = chunk_frames(np.arange(n_chunks), chunk_seconds, record.fps,
                           record.num_frames)
-    chunks = []
-    for k in range(n_chunks):
-        offset = k * chunk_seconds
-        dur = min(chunk_seconds, record.duration - offset)
-        chunks.append(VideoRecord(
-            f"{record.video_id}_c{k}", dur, record.fps,
-            record.features[f0[k]:f1[k]], []))
-    for n in record.narrations:
-        k = min(int(n.t // chunk_seconds), n_chunks - 1)
-        off = k * chunk_seconds
-        chunks[k].narrations.append(Narration(
-            n.concept_id, min(max(n.t - off, 0.0), chunks[k].duration),
-            max(n.a - off, 0.0),
-            min(n.b - off, chunks[k].duration)))
-    return chunks
+    narrations = chunk_narrations(record.narrations, record.duration,
+                                  chunk_seconds, n_chunks)
+    return [VideoRecord(f"{record.video_id}_c{k}",
+                        min(chunk_seconds, record.duration - k * chunk_seconds),
+                        record.fps, record.features[f0[k]:f1[k]], narrations[k])
+            for k in range(n_chunks)]
 
 
 # ---------------------------------------------------------------------------
 # feature-store format (little-endian):
-#   "MALN" | u32 version | u32 T | u32 C | T*C float32 row-major |
-#   u32 narration count | per narration: u32 concept_id, f64 t, f64 a, f64 b
+#   "MALN" | u32 version | u32 T | u32 C | T*C float32 row-major
+# and nothing after. A chunk file holds only its frames: each video's
+# narrations are in the dataset manifest, and chunk_narrations cuts them.
 # ---------------------------------------------------------------------------
 
 def store(record: VideoRecord, path):
@@ -221,16 +225,11 @@ def store(record: VideoRecord, path):
         f.write(struct.pack("<4sIII", MAGIC, VERSION, T, C))
         # the array's buffer, no bytes copy (and no cast of float32 features)
         f.write(np.ascontiguousarray(record.features, dtype="<f4").data)
-        f.write(struct.pack("<I", len(record.narrations)))
-        for n in record.narrations:
-            f.write(struct.pack("<Iddd", n.concept_id, n.t, n.a, n.b))
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    """Read one chunk; raises a FeatureStoreError naming the file for bad
-    framing, and for narration times that interval sampling cannot take:
-    every t, a and b must be finite, and each t in [0, duration] and no
-    earlier than the one before it."""
+    """Read one chunk's frames, as a record with no narrations; raises a
+    FeatureStoreError naming the file for bad framing."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -243,29 +242,11 @@ def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
-    off = 16
-    need = T * C * 4
-    if len(blob) < off + need + 4:
+    end = 16 + T * C * 4
+    if len(blob) < end:
         raise TruncatedFileError(f"{path}: truncated feature payload")
-    feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=off).reshape(T, C)
-    off += need
-    (count,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + count * 28:
-        raise TruncatedFileError(f"{path}: truncated narration block")
-    narrations = []
-    for _ in range(count):
-        cid, t, a, b = struct.unpack_from("<Iddd", blob, off)
-        off += 28
-        narrations.append(Narration(cid, t, a, b))
-    if len(blob) != off:
+    if len(blob) != end:
         raise FeatureStoreError(
-            f"{path}: {len(blob) - off} trailing bytes after the narration block")
-    times = [n.t for n in narrations]
-    if not (all(math.isfinite(x) for n in narrations for x in (n.t, n.a, n.b))
-            and all(0.0 <= t <= duration for t in times)
-            and all(s <= t for s, t in zip(times, times[1:]))):
-        raise FeatureStoreError(
-            f"{path}: narration times must be finite, with each t in "
-            f"[0, {duration}] and in non-decreasing order")
-    return VideoRecord(video_id, duration, fps, feats, narrations)
+            f"{path}: {len(blob) - end} trailing bytes after the feature payload")
+    feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=16).reshape(T, C)
+    return VideoRecord(video_id, duration, fps, feats)

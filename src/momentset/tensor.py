@@ -187,36 +187,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}"
         )
-    shared = b.data.ndim == 2  # one weight for every leading index of a
-    if shared:
-        out = Tensor(_fold_matmul(a.data, b.data))
-    else:
-        try:
-            out = Tensor(a.data @ b.data)
-        except ValueError as e:  # leading axes that do not broadcast
-            raise ShapeError(
-                f"matmul: incompatible leading axes {a.data.shape} x {b.data.shape}"
-            ) from e
+    try:
+        out = Tensor(a.data @ b.data)
+    except ValueError as e:  # leading axes that do not broadcast
+        raise ShapeError(
+            f"matmul: incompatible leading axes {a.data.shape} x {b.data.shape}"
+        ) from e
 
     def bwd(g):
         ga = gb = None
         if a.requires_grad:
-            ga = (_fold_matmul(g, b.data.T) if shared else _unbroadcast(
-                g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
         if b.requires_grad:
-            if shared:
-                k = a.data.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D weight as one node; the same arithmetic as
-    ``add(matmul(x, w), b)``, forward and backward."""
+    """``x @ w + b`` for a 2-D weight as one node; for a 2-D ``x``, the same
+    arithmetic as ``add(matmul(x, w), b)``, forward and backward. The
+    leading axes of ``x`` are folded into rows, one BLAS call each way."""
     if w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(
             f"linear: incompatible shapes {x.data.shape} x {w.data.shape}")

@@ -191,6 +191,25 @@ class TestLoadDataset:
         with pytest.raises(FeatureStoreError, match="video0001"):
             cli.load_dataset(bad)
 
+    def test_chunks_get_the_narrations_that_generate_cut(self, tmp_path, monkeypatch):
+        """load_dataset cuts each video's manifest narrations into the chunks
+        that chunk_video made when the dataset was generated (130-s videos
+        in 50-, 50- and 30-s chunks)."""
+        cut = {}
+        chunk_video = datagen.chunk_video
+
+        def spy(record, chunk_seconds):
+            cut[record.video_id] = chunk_video(record, chunk_seconds)
+            return cut[record.video_id]
+
+        monkeypatch.setattr(datagen, "chunk_video", spy)
+        cli.cmd_generate(tiny_run_config(videos=4, duration=130.0, chunk_seconds=50.0,
+                                         moments_per_video=3), tmp_path)
+        _, _, videos = cli.load_dataset(tmp_path)
+        assert [[c.narrations for c in cs] for cs in videos.values()] == [
+            [c.narrations for c in cs] for cs in cut.values()]
+        assert sum(len(c.narrations) for cs in videos.values() for c in cs) == 12
+
 
 def _resumable(cfg):
     """A model and an optimizer with moments and a step count, as a resumed
@@ -589,6 +608,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: io:"), err
+        assert not (tmp_path / "o").exists()
 
     def test_dataset_of_another_feature_width(self, dataset, trained, tmp_path, capsys):
         cfg, _ = dataset
@@ -745,6 +765,7 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert rc == 2
         assert "not a dataset directory" in captured.err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["eval", "train"])
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -763,6 +784,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: io:") and "ckpt.malc" in err, err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "train", "eval"])
     def test_out_is_a_regular_file(self, dataset, trained, tmp_path, capsys, command):
@@ -796,6 +818,7 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert rc == 2
             assert err.startswith("error: format:") and "version 1, expected 2" in err, err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     def test_negative_seed_flag(self, dataset, tmp_path, capsys, command):
@@ -819,7 +842,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: config: nothing to train"), err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     def test_resume_of_a_finished_run_is_nothing_to_train(self, dataset, trained,
                                                           tmp_path, capsys):
@@ -838,7 +861,7 @@ class TestMainEntry:
             assert rc == 2 and captured.out == ""
             assert captured.err.startswith("error: config: nothing to train") \
                 and f"2 of the run's {cfg.epochs} epochs" in captured.err, captured.err
-        assert list((tmp_path / "new").iterdir()) == []
+        assert not (tmp_path / "new").exists()
         assert tree_digest(run) == before
 
     def test_bad_config_file(self, tmp_path, capsys):
@@ -912,25 +935,8 @@ class TestMainEntry:
         assert not (tmp_path / "o").exists()
 
 
-def _load_chunk(path: Path) -> datagen.VideoRecord:
-    """A chunk of a tiny_run_config dataset, each chunk_seconds long."""
-    cfg = tiny_run_config()
-    return datagen.load(path, "c", cfg.chunk_seconds, cfg.fps)
-
-
-def _first_narrated_chunk(data: Path) -> Path:
-    for path in sorted((data / "chunks").iterdir()):
-        if _load_chunk(path).narrations:
-            return path
-    raise AssertionError("no chunk with narrations")
-
-
-def _narration_concept_99(data: Path):
-    path = _first_narrated_chunk(data)
-    blob = bytearray(path.read_bytes())
-    _, _, T, C = struct.unpack_from("<4sIII", blob, 0)
-    struct.pack_into("<I", blob, 16 + T * C * 4 + 4, 99)
-    path.write_bytes(bytes(blob))
+def _first_chunk_file(data: Path) -> Path:
+    return sorted((data / "chunks").iterdir())[0]
 
 
 def _edit_manifest(edit):
@@ -949,19 +955,18 @@ def _rewrite_manifest(edit):
 
 
 def _wider_features(data: Path):
-    path = _first_narrated_chunk(data)
-    rec = _load_chunk(path)
+    path = _first_chunk_file(data)
+    rec = datagen.load(path, "c", 6.0, 2)
     rec.features = np.hstack([rec.features, rec.features[:, :1]])
     datagen.store(rec, path)
 
 
 def _trailing_byte(data: Path):
-    path = _first_narrated_chunk(data)
+    path = _first_chunk_file(data)
     path.write_bytes(path.read_bytes() + b"\0")
 
 
 @pytest.mark.parametrize("corrupt", [
-    _narration_concept_99,
     _edit_manifest(lambda v: v["narrations"][0].update(concept_id=99)),
     _edit_manifest(lambda v: v["labels"].append(99)),
     _wider_features,
@@ -972,20 +977,25 @@ def _trailing_byte(data: Path):
     _rewrite_manifest(lambda m: [m]),
     _edit_manifest(lambda v: v.pop("chunks")),
     _edit_manifest(lambda v: v.update(duration="100")),
+    _edit_manifest(lambda v: v.update(duration=10**400)),
     _edit_manifest(lambda v: v.update(fps=True)),
     _edit_manifest(lambda v: v.update(chunks=[1])),
     _edit_manifest(lambda v: v.update(chunks=[])),
     _edit_manifest(lambda v: v["narrations"][0].pop("concept_id")),
     _edit_manifest(lambda v: v["narrations"][0].pop("b")),
+    _edit_manifest(lambda v: v["narrations"][0].pop("t")),
+    _edit_manifest(lambda v: v.update(chunk_seconds=0)),
     _edit_manifest(lambda v: v.update(labels=[True])),
     lambda data: (data / cli.MANIFEST_NAME).write_text("{not json"),
-], ids=["maln_concept", "manifest_narration", "manifest_label",
+], ids=["manifest_narration", "manifest_label",
         "feature_width", "trailing_bytes",
         "manifest_no_vocab", "manifest_vocab_not_str", "manifest_videos_not_object",
         "manifest_not_object", "manifest_no_chunks", "manifest_duration_str",
+        "manifest_duration_huge_int",
         "manifest_fps_bool", "manifest_chunk_not_str", "manifest_chunks_empty",
-        "manifest_narration_no_concept",
-        "manifest_narration_no_end", "manifest_label_bool", "manifest_not_json"])
+        "manifest_narration_no_concept", "manifest_narration_no_end",
+        "manifest_narration_no_t", "manifest_chunk_seconds_zero",
+        "manifest_label_bool", "manifest_not_json"])
 def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     cfg, data = dataset
     bad = tmp_path / "data"
@@ -999,6 +1009,7 @@ def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     assert rc == 2
     assert err.startswith(("error: io:", "error: format:")), err
     assert "manifest.json" in err or ".maln" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("task, key", [("nlq", "narrations"), ("recognition", "labels")])
@@ -1018,10 +1029,7 @@ def test_eval_with_nothing_to_score_is_a_clean_error(dataset, trained, tmp_path,
     assert rc == 2
     assert err.startswith("error: config: nothing to evaluate"), err
     assert key in err
-
-
-def _first_chunk_file(data: Path) -> Path:
-    return sorted((data / "chunks").iterdir())[0]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("corrupt, named", [
@@ -1041,6 +1049,7 @@ def test_unreadable_dataset_file_is_a_clean_error(dataset, trained, tmp_path, ca
     assert rc == 2
     assert err.startswith("error: io:"), err
     assert named in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -1064,6 +1073,7 @@ def test_bad_vocabulary_is_a_clean_error(dataset, trained, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: io:") and cli.VOCAB_NAME in err, err
+    assert not (tmp_path / "o").exists()
 
 
 def _checkpoint_frame_offsets(blob: bytes) -> list[int]:
@@ -1115,16 +1125,15 @@ class TestFuzz:
         assert err.startswith("error: format:") and "flipped.malc" in err, err
 
     def test_chunk_corruption_sweep(self, tmp_path, capsys):
-        """Every truncation of a chunk file, and every bit flip of its header
-        and narration block, run through training."""
+        """Every truncation of a chunk file, and every bit flip of its header,
+        run through training."""
         cfg = tiny_run_config(videos=1, epochs=1)
         data = tmp_path / "data"
         cli.cmd_generate(cfg, data)
-        path = _first_narrated_chunk(data)
+        path = _first_chunk_file(data)
         blob = path.read_bytes()
-        _, _, T, C = struct.unpack_from("<4sIII", blob, 0)
         cases = [blob[:n] for n in range(len(blob))]
-        for i in (*range(16), *range(16 + T * C * 4, len(blob))):
+        for i in range(16):
             for bit in range(8):
                 flipped = bytearray(blob)
                 flipped[i] ^= 1 << bit
@@ -1138,13 +1147,14 @@ class TestFuzz:
                 typed += 1
         assert typed > len(blob)  # every truncation, and more
 
-        t_offset = 16 + T * C * 4 + 4 + 4  # the first narration's t
-        path.write_bytes(blob[:t_offset] + struct.pack("<d", math.nan)
-                         + blob[t_offset + 8:])
+        # a version 1 chunk: the same header and frames, then its narration block
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:]
+                         + struct.pack("<IIddd", 1, 0, 3.0, 2.0, 4.0))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(cfg.to_json())
         rc = cli.main(["train", "--config", str(cfg_path), "--data", str(data),
                        "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: io:") and path.name in err, err
+        assert err.startswith("error: format:") and path.name in err, err
+        assert "version 1, expected 2" in err

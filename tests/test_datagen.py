@@ -1,9 +1,12 @@
+import json
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from momentset import datagen
+from momentset import cli, datagen
+from momentset.config import RunConfig
 from momentset.datagen import ConceptVocabulary, Narration, VideoRecord
 from momentset.errors import (
     BadMagicError,
@@ -17,6 +20,28 @@ from momentset.errors import (
 @pytest.fixture(scope="module")
 def vocab():
     return ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """One 20-s video with three narrations, in 10-s chunks."""
+    out = tmp_path_factory.mktemp("data")
+    cli.cmd_generate(RunConfig(videos=1, duration=20.0, fps=6, chunk_seconds=10.0,
+                               vocab_size=12, moments_per_video=3, feature_dim=64,
+                               conv_kernel=2), out)
+    return out
+
+
+def with_narrations(data, tmp_path, edit):
+    """A copy of dataset ``data`` whose one video's manifest narrations are
+    passed through ``edit``."""
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    path = copy / cli.MANIFEST_NAME
+    manifest = json.loads(path.read_text())
+    edit(manifest["videos"]["video0000"]["narrations"])
+    path.write_text(json.dumps(manifest))
+    return copy
 
 
 def records_equal(a: VideoRecord, b: VideoRecord) -> bool:
@@ -141,15 +166,22 @@ class TestChunking:
         assert n.t == pytest.approx(10.0)
         assert (n.a, n.b) == (5.0, 15.0)
 
-    def test_timestamp_on_a_chunk_boundary_stays_in_its_chunk(self, vocab, tmp_path):
+    def test_timestamp_on_a_chunk_boundary_stays_in_its_chunk(self, vocab):
         # 339.0 // 13.56 is 24, and 339.0 - 24 * 13.56 rounds to just above
         # 13.56, the chunk's length
         rec = datagen.generate_video(vocab, 1, 382.17, 1, 0.1, rng_seed=19)
         rec.narrations = [Narration(0, 339.0, 338.0, 340.0)]
         chunk = datagen.chunk_video(rec, 13.56)[24]
         assert chunk.narrations[0].t == chunk.duration == 13.56
-        datagen.store(chunk, tmp_path / "c.maln")
-        datagen.load(tmp_path / "c.maln", chunk.video_id, chunk.duration, chunk.fps)
+
+    def test_chunk_narrations_cut_as_chunk_video_cuts(self, vocab):
+        """A narration at exactly 1 * chunk_seconds opens chunk 1; one in the
+        short last chunk is clipped to that chunk's 20 s."""
+        rec = datagen.generate_video(vocab, 1, 100.0, 6, 0.1, rng_seed=21)
+        rec.narrations = [Narration(0, 40.0, 35.0, 45.0), Narration(1, 95.0, 90.0, 100.0)]
+        cut = datagen.chunk_narrations(rec.narrations, 100.0, 40.0, 3)
+        assert cut == [c.narrations for c in datagen.chunk_video(rec, 40.0)]
+        assert cut == [[], [Narration(0, 0.0, 0.0, 5.0)], [Narration(1, 15.0, 10.0, 20.0)]]
 
     def test_reassembly_exact(self, vocab):
         rec = datagen.generate_video(vocab, 3, 100.0, 6, 0.1, rng_seed=11)
@@ -160,11 +192,14 @@ class TestChunking:
 
 class TestFeatureStore:
     def test_round_trip(self, vocab, tmp_path):
+        """A chunk file holds the frames and no narration."""
         rec = datagen.generate_video(vocab, 3, 40.0, 6, 0.1, rng_seed=12,
                                      video_id="vid")
         path = tmp_path / "vid.maln"
         datagen.store(rec, path)
         again = datagen.load(path, "vid", rec.duration, rec.fps)
+        assert again.narrations == []
+        rec.narrations = []
         assert records_equal(rec, again)
 
     def test_features_held_as_float32(self, vocab, tmp_path):
@@ -177,12 +212,12 @@ class TestFeatureStore:
 
     def test_store_of_float64_features_writes_reference_bytes(self, tmp_path):
         """Features of another dtype or layout are rounded to the f32 payload,
-        row-major, as astype("<f4") rounds them."""
+        row-major, as astype("<f4") rounds them; the narrations are not
+        written."""
         feats = np.random.default_rng(20).standard_normal((3, 5)).T  # not C-contiguous
         rec = VideoRecord("v", 5.0, 1, feats, [Narration(2, 2.5, 1.0, 4.0)])
         datagen.store(rec, tmp_path / "v.maln")
-        expect = (struct.pack("<4sIII", b"MALN", 1, 5, 3) + feats.astype("<f4").tobytes()
-                  + struct.pack("<IIddd", 1, 2, 2.5, 1.0, 4.0))
+        expect = struct.pack("<4sIII", b"MALN", 2, 5, 3) + feats.astype("<f4").tobytes()
         assert (tmp_path / "v.maln").read_bytes() == expect
 
     def test_file_size_formula(self, vocab, tmp_path):
@@ -190,7 +225,7 @@ class TestFeatureStore:
         path = tmp_path / "x.maln"
         datagen.store(rec, path)
         T, C = rec.features.shape
-        expect = 16 + T * C * 4 + 4 + len(rec.narrations) * 28
+        expect = 16 + T * C * 4
         assert path.stat().st_size == expect
 
     def test_bad_magic(self, vocab, tmp_path):
@@ -225,22 +260,20 @@ class TestFeatureStore:
     @pytest.mark.parametrize("j, field, value", [
         (0, "t", float("nan")), (0, "t", -5.0), (2, "t", 1e300), (2, "t", 20.5),
         (1, "t", 1.0), (0, "a", float("inf")), (1, "b", float("nan")),
+        (1, "b", 10**400),
     ], ids=["t_nan", "t_negative", "t_huge", "t_past_end", "t_out_of_order",
-            "a_inf", "b_nan"])
-    def test_bad_narration_time(self, vocab, tmp_path, j, field, value):
-        """Times that interval sampling cannot draw between are refused at
-        load, naming the file."""
-        rec = datagen.generate_video(vocab, 3, 20.0, 6, 0.1, rng_seed=17)
-        setattr(rec.narrations[j], field, value)
-        path = tmp_path / "x.maln"
-        datagen.store(rec, path)
-        with pytest.raises(FeatureStoreError, match="x.maln.*narration times"):
-            datagen.load(path, "x", 20.0, 6)
+            "a_inf", "b_nan", "b_huge_int"])
+    def test_bad_narration_time(self, dataset, tmp_path, j, field, value):
+        """Times that interval sampling cannot draw between are refused when
+        the dataset loads, naming the manifest."""
+        bad = with_narrations(dataset, tmp_path, lambda ns: ns[j].update({field: value}))
+        with pytest.raises(FeatureStoreError, match="manifest.json.*narration times"):
+            cli.load_dataset(bad)
 
-    def test_narration_times_at_the_bounds_load(self, vocab, tmp_path):
-        rec = datagen.generate_video(vocab, 3, 20.0, 6, 0.1, rng_seed=18)
-        for n, t in zip(rec.narrations, (0.0, 0.0, 20.0)):
-            n.t = t
-        path = tmp_path / "x.maln"
-        datagen.store(rec, path)
-        assert records_equal(rec, datagen.load(path, rec.video_id, 20.0, 6))
+    def test_narration_times_at_the_bounds_load(self, dataset, tmp_path):
+        def to_bounds(narrations):
+            for n, t in zip(narrations, (0.0, 0.0, 20.0)):
+                n["t"] = t
+        _, _, videos = cli.load_dataset(with_narrations(dataset, tmp_path, to_bounds))
+        assert [[n.t for n in c.narrations] for c in videos["video0000"]] == [
+            [0.0, 0.0], [10.0]]

