@@ -19,7 +19,8 @@ from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig, is_number
-from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
+from .errors import (ConfigError, FeatureStoreError, MomentSetError, OptimizerError,
+                     ShapeError)
 from .model import MomentPrediction, MomentSetModel
 from .optim import Adam
 from .temporal import TemporalTable
@@ -124,9 +125,10 @@ _VIDEO_FIELDS = {
 
 def _check_manifest(manifest, path: Path):
     """Raise FeatureStoreError naming ``path`` unless the manifest has the
-    keys and value types that the dataset readers index, and narration
-    times that interval sampling can take: every t, a and b finite, and
-    each t in [0, duration] and no earlier than the one before it."""
+    keys and value types that the dataset readers index, the chunk count
+    that datagen.chunk_video cuts, and narration times that interval
+    sampling can take: every t, a and b finite, and each t in [0, duration]
+    and no earlier than the one before it."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("vocab"), str)
             and isinstance(manifest.get("videos"), dict)):
         raise FeatureStoreError(
@@ -138,6 +140,10 @@ def _check_manifest(manifest, path: Path):
         if bad:
             raise FeatureStoreError(
                 f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
+        # compared as a float, so a huge ratio is refused and never overflows
+        if len(meta["chunks"]) != np.ceil(meta["duration"] / meta["chunk_seconds"]):
+            raise FeatureStoreError(f"{path}: video '{vid}' lists {len(meta['chunks'])} "
+                                    f"chunks, not ceil(duration / chunk_seconds)")
         times = [n["t"] for n in meta["narrations"]]
         if not (all(_finite(n[k]) for n in meta["narrations"] for k in "tab")
                 and all(0.0 <= t <= meta["duration"] for t in times)
@@ -205,6 +211,12 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
 # training
 # ---------------------------------------------------------------------------
 
+def _check_feature_width(vocab, feature_dim: int):
+    if vocab.dim != feature_dim:
+        raise ShapeError(f"the dataset's features are {vocab.dim} wide, the model's "
+                         f"feature_dim is {feature_dim}")
+
+
 def build_model(config: RunConfig) -> MomentSetModel:
     return MomentSetModel(config.model_config(), np.random.default_rng([config.seed, 2]))
 
@@ -233,13 +245,16 @@ def cut_train_log(path: Path, steps: int):
 def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               resume_from: Path | None = None,
               video_ids: list[str] | None = None) -> Path:
+    """Train on the selected videos' chunks that have narrations; each
+    batch's interval samples are drawn here, and train_step runs them."""
     config.validate()
     out_dir = Path(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
-    chunks = [c for cs in videos.values() for c in cs]
+    chunks = [c for cs in videos.values() for c in cs if c.narrations]
     if not chunks:
-        raise ConfigError(f"nothing to train: no videos selected from {data_dir}")
-    max_narr = max((len(c.narrations) for c in chunks), default=0)
+        raise ConfigError(f"nothing to train: no chunk of the videos selected "
+                          f"from {data_dir} has a narration")
+    max_narr = max(len(c.narrations) for c in chunks)
     if max_narr > config.queries:
         raise ConfigError(
             f"a chunk has {max_narr} narrations but the model only has "
@@ -257,18 +272,16 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
         if start_epoch >= config.epochs:
             raise ConfigError(f"nothing to train: {resume_from} already holds "
                               f"{start_epoch} of the run's {config.epochs} epochs")
+    _check_feature_width(vocab, config.feature_dim)
     # --out is made only once the dataset and the checkpoint are accepted
     _make_out_dir(out_dir)
     log_path = out_dir / TRAIN_LOG_NAME
     if resume_from is not None and log_path.exists():
         cut_train_log(log_path, data.step)
 
-    fixed_samples = None
-    if config.freeze_intervals:
-        rng_fix = np.random.default_rng([config.seed, 4])
-        fixed_samples = {
-            c.video_id: matching.sample_chunk_intervals(c, rng_fix)
-            for c in chunks if c.narrations}
+    rng_fix = np.random.default_rng([config.seed, 4])
+    frozen = ([matching.sample_chunk_intervals(c, rng_fix) for c in chunks]
+              if config.freeze_intervals else None)
 
     ckpt_path = out_dir / CHECKPOINT_NAME
     steps_per_epoch = math.ceil(len(chunks) / config.batch_size)
@@ -283,11 +296,12 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             rng = np.random.default_rng([config.seed, 3, epoch])
             order = rng.permutation(len(chunks))
             for b0 in range(0, len(chunks), config.batch_size):
-                batch = [chunks[i] for i in order[b0:b0 + config.batch_size]]
+                idx = order[b0:b0 + config.batch_size]
+                batch = [chunks[i] for i in idx]
+                samples = ([frozen[i] for i in idx] if frozen is not None else
+                           [matching.sample_chunk_intervals(c, rng) for c in batch])
                 try:
-                    stats = matching.train_step(
-                        model, vocab, batch, optimizer, rng,
-                        fixed_samples=fixed_samples)
+                    stats = matching.train_step(model, vocab, batch, samples, optimizer)
                 except OptimizerError:
                     log.error("aborting: non-finite loss/gradient at step %d; "
                               "last-good checkpoint kept at %s", step, ckpt_path)
@@ -447,6 +461,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     if not any(manifest["videos"][vid][key] for vid in videos):
         raise ConfigError(f"nothing to evaluate: the selected videos have no {key}")
     config, model = ckpt.load_model(checkpoint_path, config)
+    _check_feature_width(vocab, config.feature_dim)
     _make_out_dir(out_dir)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)

@@ -228,7 +228,7 @@ def store(record: VideoRecord, path):
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    """Read one chunk's frames, as a record with no narrations; raises a
+    """Read one chunk's frames, as a record with an empty narration list; raises a
     FeatureStoreError naming the file for bad framing."""
     try:
         with open(path, "rb") as f:

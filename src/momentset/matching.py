@@ -7,7 +7,6 @@ through the similarities, the temporal table, and the loss scales.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .datagen import (UNIT_NORM_TOL, ConceptVocabulary, MomentSample, VideoRecor
 from .errors import CapacityError, ContractError, DomainError
 from .model import MomentPrediction, MomentSetModel
 from .tensor import Tensor
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -193,28 +190,15 @@ def _sim_means(sims, assignments):
 
 
 def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
-               chunks: list[VideoRecord], optimizer,
-               rng: np.random.Generator,
-               fixed_samples: dict[str, list[MomentSample]] | None = None
-               ) -> StepStats:
-    """One optimizer step on a batch of chunks (``batch_loss``).
-
-    Chunks without narrations are skipped; interval samples are drawn in
-    chunk order before the forward. The tape is cleared on every exit, a
-    failed step included.
+               chunks: list[VideoRecord], samples: list[list[MomentSample]],
+               optimizer) -> StepStats:
+    """One optimizer step on a batch of chunks and their interval samples
+    (``batch_loss``); ``samples[b]`` is chunk b's, at least one each. The
+    caller picks the chunks and draws the samples (cli.cmd_train). The tape
+    is cleared on every exit, a failed step included.
     """
-    used, samples = [], []
-    for chunk in chunks:
-        if not chunk.narrations:
-            log.warning("chunk %s has no narrations, skipped", chunk.video_id)
-            continue
-        used.append(chunk)
-        samples.append(fixed_samples[chunk.video_id] if fixed_samples is not None
-                       else sample_chunk_intervals(chunk, rng))
-    if not used:
-        raise CapacityError("batch contained no chunk with narrations")
     try:
-        loss, sims, assignments = batch_loss(model, vocab, used, samples)
+        loss, sims, assignments = batch_loss(model, vocab, chunks, samples)
         matched, unmatched = _sim_means(sims, assignments)
         optimizer.zero_grad()
         tt.backward(loss)

@@ -458,6 +458,26 @@ class TestTrain:
         assert (full / cli.CHECKPOINT_NAME).read_bytes() == \
             (part / cli.CHECKPOINT_NAME).read_bytes()
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["fresh", "frozen"])
+    def test_chunks_without_narrations_are_not_trained(self, tmp_path, freeze):
+        """30-s videos in 6-s chunks with two narrations each, so most chunks
+        have none: only the narrated ones are trained. A 1-epoch run resumed
+        to 2 logs epochs * ceil(narrated / batch_size) rows and ends with the
+        files of an uninterrupted run."""
+        cfg = tiny_run_config(duration=30.0, freeze_intervals=freeze)
+        data = tmp_path / "data"
+        cli.cmd_generate(cfg, data)
+        _, _, videos = cli.load_dataset(data)
+        narrated = sum(bool(c.narrations) for cs in videos.values() for c in cs)
+        assert 0 < narrated < sum(len(cs) for cs in videos.values())
+        cli.cmd_train(cfg, data, tmp_path / "full")
+        part = tmp_path / "part"
+        cli.cmd_train(dataclasses.replace(cfg, epochs=1), data, part)
+        cli.cmd_train(cfg, data, part, resume_from=part / cli.CHECKPOINT_NAME)
+        rows = (part / cli.TRAIN_LOG_NAME).read_text().splitlines()[1:]
+        assert len(rows) == cfg.epochs * math.ceil(narrated / cfg.batch_size)
+        assert tree_digest(part) == tree_digest(tmp_path / "full")
+
     def test_resume_after_a_stop_mid_epoch_logs_each_step_once(self, dataset, tmp_path,
                                                               monkeypatch):
         """A run of 3 steps an epoch, saved after step 3 and stopped during
@@ -611,16 +631,21 @@ class TestEval:
         assert not (tmp_path / "o").exists()
 
     def test_dataset_of_another_feature_width(self, dataset, trained, tmp_path, capsys):
+        """A 16-wide dataset against an 8-wide config or checkpoint is
+        refused, by train and by eval, before --out is made."""
         cfg, _ = dataset
         wide = tmp_path / "wide"
         cli.cmd_generate(tiny_run_config(feature_dim=16), wide)
-        rc = cli.main(["eval", "--data", str(wide), "--out", str(tmp_path / "o"),
-                       "--checkpoint", str(trained), "--task", "recognition"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: shape:") and "feature_dim" in err, err
-        with pytest.raises(ShapeError, match="feature_dim"):
-            cli.cmd_train(cfg, wide, tmp_path / "run")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        for argv in (["train", "--config", str(cfg_path)],
+                     ["eval", "--checkpoint", str(trained), "--task", "recognition"]):
+            rc = cli.main(argv + ["--data", str(wide), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: shape:") and "feature_dim" in err, err
+            assert "16 wide" in err and "feature_dim is 8" in err, err
+            assert not (tmp_path / "o").exists()
 
     def test_unknown_task_rejected(self, dataset, trained, tmp_path):
         cfg, data = dataset
@@ -793,7 +818,9 @@ class TestMainEntry:
         cfg, data = dataset
         out = tmp_path / "afile"
         out.write_text("keep")
-        argv = [command, "--out", str(out)]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        argv = [command, "--out", str(out), "--config", str(cfg_path)]
         if command != "generate":
             argv += ["--data", str(data)]
         if command == "eval":
@@ -831,18 +858,23 @@ class TestMainEntry:
         assert not (tmp_path / "o").exists()
 
     def test_dataset_with_no_videos_is_nothing_to_train(self, dataset, tmp_path, capsys):
+        """A manifest with no videos, and one whose videos have no
+        narrations, leave no chunk to train."""
         cfg, data = dataset
-        empty = tmp_path / "data"
-        shutil.copytree(data, empty)
-        _rewrite_manifest(lambda m: {**m, "videos": {}})(empty)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(cfg.to_json())
-        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(empty),
-                       "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: config: nothing to train"), err
-        assert not (tmp_path / "o").exists()
+        manifest = json.loads((data / cli.MANIFEST_NAME).read_text())
+        no_narrations = {v: {**meta, "narrations": []} for v, meta in manifest["videos"].items()}
+        for name, videos in (("no_videos", {}), ("no_narrations", no_narrations)):
+            empty = tmp_path / name
+            shutil.copytree(data, empty)
+            _rewrite_manifest(lambda m: {**m, "videos": videos})(empty)
+            rc = cli.main(["train", "--config", str(cfg_path), "--data", str(empty),
+                           "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: config: nothing to train"), err
+            assert not (tmp_path / "o").exists()
 
     def test_resume_of_a_finished_run_is_nothing_to_train(self, dataset, trained,
                                                           tmp_path, capsys):
@@ -986,6 +1018,10 @@ def _trailing_byte(data: Path):
     _edit_manifest(lambda v: v["narrations"][0].pop("t")),
     _edit_manifest(lambda v: v.update(chunk_seconds=0)),
     _edit_manifest(lambda v: v.update(labels=[True])),
+    _edit_manifest(lambda v: v["chunks"].append(v["chunks"][0])),
+    _edit_manifest(lambda v: v["chunks"].pop()),
+    _edit_manifest(lambda v: v.update(duration=0.0)),
+    _edit_manifest(lambda v: v.update(duration=1e308, chunk_seconds=1e-10)),
     lambda data: (data / cli.MANIFEST_NAME).write_text("{not json"),
 ], ids=["manifest_narration", "manifest_label",
         "feature_width", "trailing_bytes",
@@ -995,7 +1031,8 @@ def _trailing_byte(data: Path):
         "manifest_fps_bool", "manifest_chunk_not_str", "manifest_chunks_empty",
         "manifest_narration_no_concept", "manifest_narration_no_end",
         "manifest_narration_no_t", "manifest_chunk_seconds_zero",
-        "manifest_label_bool", "manifest_not_json"])
+        "manifest_label_bool", "manifest_extra_chunk", "manifest_missing_chunk",
+        "manifest_duration_zero", "manifest_chunk_count_overflows", "manifest_not_json"])
 def test_bad_dataset_file_is_a_clean_error(dataset, tmp_path, capsys, corrupt):
     cfg, data = dataset
     bad = tmp_path / "data"

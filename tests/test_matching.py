@@ -230,13 +230,10 @@ class TestTrainStep:
                              loss_bias_init=0.0)
         model = MomentSetModel(config, np.random.default_rng(2))
         opt = Adam(model.params, lr=1e-3)
-        rng = np.random.default_rng(3)
-        fixed = {chunk.video_id: matching.sample_chunk_intervals(chunk, rng)}
-        first = matching.train_step(model, vocab, [chunk], opt, rng,
-                                    fixed_samples=fixed).loss
+        samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
+        first = matching.train_step(model, vocab, [chunk], samples, opt).loss
         for _ in range(199):
-            stats = matching.train_step(model, vocab, [chunk], opt, rng,
-                                        fixed_samples=fixed)
+            stats = matching.train_step(model, vocab, [chunk], samples, opt)
         assert stats.loss < first
 
     def test_batch_equals_mean_of_chunk_losses(self):
@@ -270,29 +267,12 @@ class TestTrainStep:
                 self.grads = {k: p.grad.copy() for k, p in model.params.items()}
 
         opt = RecordGrads()
-        stats = matching.train_step(model, vocab, chunks, opt,
-                                    np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
+        stats = matching.train_step(model, vocab, chunks, samples, opt)
         assert stats.loss == pytest.approx(mean.item(), rel=1e-12)
         for k, g in expect.items():
             np.testing.assert_allclose(opt.grads[k], g, rtol=1e-9, atol=1e-12)
-
-    def test_empty_chunks_skipped_and_all_empty_raises(self, caplog):
-        from momentset.optim import Adam
-        vocab = ConceptVocabulary.generate(4, 6, np.random.default_rng(0))
-        chunk = generate_video(vocab, 2, 20.0, 2, 0.1, rng_seed=4)
-        empty = generate_video(vocab, 2, 20.0, 2, 0.1, rng_seed=5)
-        empty.narrations = []
-        config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
-                             enc_layers=0, dec_layers=0, heads=2, head_dim=4,
-                             queries=4, temporal_rows=8, ffn_hidden=16)
-        model = MomentSetModel(config, np.random.default_rng(1))
-        opt = Adam(model.params)
-        rng = np.random.default_rng(2)
-        with caplog.at_level("WARNING"):
-            matching.train_step(model, vocab, [chunk, empty], opt, rng)
-        assert any("no narrations" in r.getMessage() for r in caplog.records)
-        with pytest.raises(CapacityError):
-            matching.train_step(model, vocab, [empty], opt, rng)
 
     def test_failed_step_clears_tape(self):
         from momentset.optim import Adam
@@ -308,14 +288,13 @@ class TestTrainStep:
                              enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                              queries=4, temporal_rows=8, ffn_hidden=16)
         model = MomentSetModel(config, np.random.default_rng(2))
+        samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
         with pytest.raises(OptimizerError):
-            matching.train_step(model, vocab, [chunk], NanGradAdam(model.params),
-                                np.random.default_rng(3))
+            matching.train_step(model, vocab, [chunk], samples, NanGradAdam(model.params))
         assert tt.tape_size() == 0
         model.params["queries"].data[:] = np.nan  # NaN cost matrix
         with pytest.raises(DomainError, match="non-finite"):
-            matching.train_step(model, vocab, [chunk], Adam(model.params),
-                                np.random.default_rng(3))
+            matching.train_step(model, vocab, [chunk], samples, Adam(model.params))
         assert tt.tape_size() == 0
 
 
@@ -334,15 +313,13 @@ class RecordGrads:
         self.grads = {k: p.grad for k, p in self.params.items()}
 
 
-def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses(caplog):
-    """Chunks of three lengths with 1, 2 and 3 narrations (padded to one
-    B x 3 block), plus a chunk with none, which train_step skips."""
+def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses():
+    """Chunks of three lengths with 1, 2 and 3 narrations, padded to one
+    B x 3 block."""
     vocab = ConceptVocabulary.generate(5, 6, np.random.default_rng(0))
     shapes = ((30.0, 1), (20.0, 3), (24.0, 2), (30.0, 3), (20.0, 1))
     chunks = [generate_video(vocab, n, duration, 2, 0.1, rng_seed=s, video_id=f"v{s}")
               for s, (duration, n) in enumerate(shapes)]
-    empty = generate_video(vocab, 2, 24.0, 2, 0.1, rng_seed=9, video_id="empty")
-    empty.narrations = []
     config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
                          enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                          queries=4, temporal_rows=8, ffn_hidden=16)
@@ -360,10 +337,9 @@ def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses
     tt.clear_tape()
 
     opt = RecordGrads(model.params)
-    with caplog.at_level("WARNING"):
-        stats = matching.train_step(model, vocab, chunks[:2] + [empty] + chunks[2:],
-                                    opt, np.random.default_rng(7))
-    assert any("no narrations" in r.getMessage() for r in caplog.records)
+    rng = np.random.default_rng(7)
+    samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
+    stats = matching.train_step(model, vocab, chunks, samples, opt)
     assert stats.loss == pytest.approx(mean.item(), rel=1e-12)
     for k, g in expect.items():
         np.testing.assert_allclose(opt.grads[k], g, rtol=1e-9, atol=1e-12)
@@ -401,7 +377,9 @@ def test_tape_does_not_grow_with_the_batch():
                   for s in range(batch)]
         model = MomentSetModel(ModelConfig(), np.random.default_rng(1))
         opt = RecordGrads(model.params)
-        matching.train_step(model, vocab, chunks, opt, np.random.default_rng(2))
+        rng = np.random.default_rng(2)
+        samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
+        matching.train_step(model, vocab, chunks, samples, opt)
         nodes[batch] = opt.nodes
         grads = [g for g in opt.grads.values()]
         assert all(g is not None and g.flags.c_contiguous for g in grads)
