@@ -49,29 +49,36 @@ class CheckpointData:
     tensors: dict[str, np.ndarray]
 
 
+@contextlib.contextmanager
+def replace_file(path):
+    """A binary file to write in place of ``path``: it is a temp file beside
+    ``path``, renamed over it when the block ends cleanly and removed when
+    the block raises, so a failed write leaves ``path`` as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                     optimizer: Adam, epochs_done: int):
     arrays = [p.data for p in model.params.values()]
     for k in model.params:
         arrays += optimizer.moments(k)
     cfg_bytes = config.to_json().encode("utf-8")
-    # write a temp file beside the target and rename it into place, so a
-    # failed save leaves the previous checkpoint as it was
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
-            f.write(cfg_bytes)
-            f.write(struct.pack("<QQ", epochs_done, optimizer.step_count))
-            for arr in arrays:
-                # a C-contiguous <f8 array is its own payload: write its
-                # buffer, no bytes copy
-                f.write(np.ascontiguousarray(arr, dtype="<f8").data)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with replace_file(path) as f:
+        f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
+        f.write(cfg_bytes)
+        f.write(struct.pack("<QQ", epochs_done, optimizer.step_count))
+        for arr in arrays:
+            # a C-contiguous <f8 array is its own payload: write its
+            # buffer, no bytes copy
+            f.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def _unpack(f, size: int, fmt: str, path, what: str):
@@ -150,16 +157,14 @@ def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
     config holding the checkpoint's parameters. Adam moments are not read.
 
     Raises CheckpointError when the snapshot lacks a model field, has one
-    of the wrong type or fails ``validate``, or when the file is not exactly
-    as long as that model's layout. All of it is checked before any model
-    array is allocated.
+    of the wrong type or fails ModelConfig.validate, or when the file is not
+    exactly as long as that model's layout. All of it is checked before any
+    model array is allocated. No check mixes model and run fields, so the
+    result is valid whenever ``config`` is: the dataset's chunks are checked
+    against the model by the caller (ModelConfig.check_input).
     """
     data = load_checkpoint(path, moments=False)
-    try:  # the snapshot's fields are checked; the run's other fields may not fit them
-        config = dataclasses.replace(config, **{k: data.config[k] for k in MODEL_FIELDS})
-        config.validate()
-    except ConfigError as e:
-        raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
+    config = dataclasses.replace(config, **{k: data.config[k] for k in MODEL_FIELDS})
     model = MomentSetModel(config.model_config(), rng=None)
     for name, p in model.params.items():
         p.data = data.tensors[name]

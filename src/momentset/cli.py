@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import itertools
 import json
@@ -19,8 +18,7 @@ from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig, is_number
-from .errors import (ConfigError, FeatureStoreError, MomentSetError, OptimizerError,
-                     ShapeError)
+from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
 from .model import MomentPrediction, MomentSetModel
 from .optim import Adam
 from .temporal import TemporalTable
@@ -42,28 +40,31 @@ IOU_THRESHOLDS = (0.3, 0.5)
 # dataset generation
 # ---------------------------------------------------------------------------
 
-def _make_out_dir(out_dir: Path, empty: bool = False) -> None:
-    """Create ``out_dir`` and its parents. Raises ConfigError when ``empty``
-    and it already holds files, or when it cannot be checked or created
-    (say, a regular file has its name)."""
+def _make_out_dir(out_dir: Path) -> None:
+    """Create ``out_dir`` and its parents. Raises ConfigError when it cannot
+    be created (say, a regular file has its name)."""
     try:
-        if empty and out_dir.exists() and any(out_dir.iterdir()):
-            raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
 
 
 def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
+    """Write a dataset into ``out_dir``. Without ``force`` a non-empty
+    ``out_dir`` is refused first; then the vocabulary and every video are
+    made, cut and checked against the config's model
+    (ModelConfig.check_input), all before any directory or file is made."""
     config.validate()
     out_dir = Path(out_dir)
-    _make_out_dir(out_dir, empty=not force)
-    _make_out_dir(out_dir / "chunks")
+    try:
+        if not force and out_dir.exists() and any(out_dir.iterdir()):
+            raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
+    except OSError as e:
+        raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
 
     rng = np.random.default_rng([config.seed, 0])
     vocab = datagen.ConceptVocabulary.generate(
         config.vocab_size, config.feature_dim, rng)
-    vocab.save(out_dir / VOCAB_NAME)
 
     def make(v: int) -> datagen.VideoRecord:
         return datagen.generate_video(
@@ -77,11 +78,15 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
             records = list(ex.map(make, indices))
     else:
         records = [make(v) for v in indices]
+    chunked = [datagen.chunk_video(record, config.chunk_seconds) for record in records]
+    for chunk in itertools.chain.from_iterable(chunked):
+        config.check_input(chunk.features.shape, f"chunk {chunk.video_id}")
 
+    _make_out_dir(out_dir / "chunks")
+    vocab.save(out_dir / VOCAB_NAME)
     manifest = {"version": 1, "vocab": VOCAB_NAME,
                 "config": config.to_dict(), "videos": {}}
-    for record in records:
-        chunks = datagen.chunk_video(record, config.chunk_seconds)
+    for record, chunks in zip(records, chunked):
         paths = []
         for k, chunk in enumerate(chunks):
             rel = f"chunks/{record.video_id}_{k:03d}.maln"
@@ -211,12 +216,6 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
 # training
 # ---------------------------------------------------------------------------
 
-def _check_feature_width(vocab, feature_dim: int):
-    if vocab.dim != feature_dim:
-        raise ShapeError(f"the dataset's features are {vocab.dim} wide, the model's "
-                         f"feature_dim is {feature_dim}")
-
-
 def build_model(config: RunConfig) -> MomentSetModel:
     return MomentSetModel(config.model_config(), np.random.default_rng([config.seed, 2]))
 
@@ -231,22 +230,18 @@ def cut_train_log(path: Path, steps: int):
     The cut copy is written beside the log and renamed into place."""
     with open(path, "rb") as f:
         lines = list(itertools.islice(f, steps + 1))
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.writelines(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with ckpt.replace_file(path) as f:
+        f.writelines(lines)
 
 
 def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               resume_from: Path | None = None,
               video_ids: list[str] | None = None) -> Path:
     """Train on the selected videos' chunks that have narrations; each
-    batch's interval samples are drawn here, and train_step runs them."""
+    batch's interval samples are drawn here, and train_step runs them.
+    Every chunk trained is checked against the model
+    (ModelConfig.check_input) before ``out_dir`` is made; a chunk without
+    narrations is not forwarded, so it is not checked."""
     config.validate()
     out_dir = Path(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
@@ -272,7 +267,8 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
         if start_epoch >= config.epochs:
             raise ConfigError(f"nothing to train: {resume_from} already holds "
                               f"{start_epoch} of the run's {config.epochs} epochs")
-    _check_feature_width(vocab, config.feature_dim)
+    for c in chunks:
+        config.check_input(c.features.shape, f"chunk {c.video_id}")
     # --out is made only once the dataset and the checkpoint are accepted
     _make_out_dir(out_dir)
     log_path = out_dir / TRAIN_LOG_NAME
@@ -450,7 +446,9 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     ignored, so the scores depend only on the checkpoint and the dataset.
     Raises ConfigError, before the checkpoint is read, when the selected
     videos have no label (recognition) or no narration (nlq) to score.
-    ``out_dir`` is made only once the dataset and the checkpoint are read.
+    ``out_dir`` is made only once the dataset and the checkpoint are read
+    and every chunk of the selected videos passes the checkpoint model's
+    ModelConfig.check_input.
     """
     config.validate()
     if task not in ("recognition", "nlq"):
@@ -461,7 +459,8 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     if not any(manifest["videos"][vid][key] for vid in videos):
         raise ConfigError(f"nothing to evaluate: the selected videos have no {key}")
     config, model = ckpt.load_model(checkpoint_path, config)
-    _check_feature_width(vocab, config.feature_dim)
+    for c in itertools.chain.from_iterable(videos.values()):
+        config.check_input(c.features.shape, f"chunk {c.video_id}")
     _make_out_dir(out_dir)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)

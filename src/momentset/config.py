@@ -7,9 +7,6 @@ import math
 import typing
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import datagen
 from .errors import ConfigError
 from .model import ModelConfig
 
@@ -35,7 +32,12 @@ def _is_a(v, field_type) -> bool:
 class RunConfig(ModelConfig):
     """The model fields (inherited from ModelConfig) plus the dataset,
     optimizer-schedule and generate fields of one run. Adam's betas and
-    epsilon (optim.py) and the NLQ protocol (cli.py) are constants."""
+    epsilon (optim.py) and the NLQ protocol (cli.py) are constants.
+
+    ``validate`` checks each field on its own terms and no rule that mixes
+    model and run fields: whether a chunk holds a conv window is checked on
+    the chunks themselves (ModelConfig.check_input), by generate on those it
+    cuts and by train and eval on those they forward."""
     # dataset
     seed: int = 0
     videos: int = 32
@@ -84,28 +86,6 @@ class RunConfig(ModelConfig):
         if problems:
             raise ConfigError("; ".join(problems))
         super().validate()
-        if self._cuts_a_short_chunk():
-            raise ConfigError(
-                f"duration {self.duration:g} in chunk_seconds {self.chunk_seconds:g} "
-                f"at fps {self.fps} leaves a chunk of fewer than conv_kernel "
-                f"({self.conv_kernel}) frames")
-
-    def _cuts_a_short_chunk(self) -> bool:
-        """Whether a chunk that datagen.chunk_video cuts from a generated
-        video has fewer than conv_kernel frames, which tokenize rejects."""
-        frames = round(self.duration * self.fps)
-        count = self.duration / self.chunk_seconds
-        # the chunks' frames add up to at most ``frames``
-        if not count * self.conv_kernel <= frames:
-            return True
-        count = math.ceil(count)
-        block = 1 << 16
-        for k0 in range(0, count, block):
-            f0, f1 = datagen.chunk_frames(np.arange(k0, min(k0 + block, count)),
-                                          self.chunk_seconds, self.fps, frames)
-            if np.any(f1 - f0 < self.conv_kernel):
-                return True
-        return False
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -170,16 +170,6 @@ def sample_interval(narrations: list[Narration], j: int, duration: float,
     )
 
 
-def chunk_frames(k: np.ndarray, chunk_seconds: float, fps: int,
-                 num_frames: int) -> tuple[np.ndarray, np.ndarray]:
-    """The frame bounds (f0, f1) of chunks ``k`` (an int array) as
-    chunk_video cuts them: chunk k holds frames f0 <= i < f1."""
-    f0 = np.round(k * chunk_seconds * fps).astype(np.int64)
-    f1 = np.minimum(np.round((k + 1) * chunk_seconds * fps),
-                    num_frames).astype(np.int64)
-    return f0, f1
-
-
 def chunk_narrations(narrations: list[Narration], duration: float,
                      chunk_seconds: float, n_chunks: int) -> list[list[Narration]]:
     """Each chunk's narrations, chunk k first: a narration lands in the chunk
@@ -198,17 +188,27 @@ def chunk_narrations(narrations: list[Narration], duration: float,
 
 def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
     """Split into consecutive non-overlapping chunks; last one may be short.
-    Narrations are cut as chunk_narrations cuts them."""
+    Narrations are cut as chunk_narrations cuts them. Raises GenerationError
+    when there are more chunks than frames."""
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
-    n_chunks = int(np.ceil(record.duration / chunk_seconds))
-    f0, f1 = chunk_frames(np.arange(n_chunks), chunk_seconds, record.fps,
-                          record.num_frames)
+    count = record.duration / chunk_seconds
+    # the chunks' frames add up to the video's, so more chunks than frames
+    # leaves one empty; refused before a count that large is allocated
+    if not count <= record.num_frames:
+        raise GenerationError(
+            f"{record.duration:g} s in {chunk_seconds:g}-s chunks is more chunks "
+            f"than the video's {record.num_frames} frames")
+    n_chunks = int(np.ceil(count))
+    # chunk k holds frames bounds[k] <= i < bounds[k + 1]
+    bounds = np.minimum(np.round(np.arange(n_chunks + 1) * chunk_seconds * record.fps),
+                        record.num_frames).astype(np.int64)
     narrations = chunk_narrations(record.narrations, record.duration,
                                   chunk_seconds, n_chunks)
     return [VideoRecord(f"{record.video_id}_c{k}",
                         min(chunk_seconds, record.duration - k * chunk_seconds),
-                        record.fps, record.features[f0[k]:f1[k]], narrations[k])
+                        record.fps, record.features[bounds[k]:bounds[k + 1]],
+                        narrations[k])
             for k in range(n_chunks)]
 
 

@@ -59,6 +59,18 @@ class ModelConfig:
         if problems:
             raise ConfigError("; ".join(problems))
 
+    def check_input(self, shape, what: str = "input"):
+        """The model's input rule, on the shape of a ``... x T x C`` frame
+        array that ``what`` names: C must be feature_dim and T at least one
+        conv window (conv_kernel frames). Raises ShapeError, or
+        InputTooShortError (category shape too) for a short T."""
+        if shape[-1] != self.feature_dim:
+            raise ShapeError(f"{what} is {shape[-1]} wide, the model's feature_dim "
+                             f"is {self.feature_dim}")
+        if shape[-2] < self.conv_kernel:
+            raise InputTooShortError(f"{what} has {shape[-2]} frames, fewer than "
+                                     f"conv_kernel ({self.conv_kernel})")
+
     @classmethod
     def paper_scale(cls) -> "ModelConfig":
         return cls(feature_dim=1024, model_dim=512, conv_kernel=7,
@@ -208,15 +220,8 @@ class MomentSetModel:
         """Non-overlap 1D conv: ... x T frames -> ... x floor(T/kernel) tokens."""
         c = self.config
         features = np.asarray(features, dtype=np.float64)
-        if features.shape[-1] != c.feature_dim:
-            raise ShapeError(
-                f"features are {features.shape[-1]} wide, model feature_dim is "
-                f"{c.feature_dim}")
-        T = features.shape[-2]
-        if T < c.conv_kernel:
-            raise InputTooShortError(
-                f"{T} frames < conv kernel {c.conv_kernel}")
-        n_tok = T // c.conv_kernel
+        c.check_input(features.shape)
+        n_tok = features.shape[-2] // c.conv_kernel
         windows = features[..., : n_tok * c.conv_kernel, :].reshape(
             *features.shape[:-2], n_tok, c.conv_kernel * c.feature_dim)
         return _linear(self.params, "conv", Tensor(windows))

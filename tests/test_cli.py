@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import resource
@@ -99,30 +98,6 @@ class TestConfig:
     def test_queries_need_only_fit_one_chunk(self):
         # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
         RunConfig(duration=600, moments_per_video=24).validate()
-
-    def test_validate_accepts_exactly_the_chunkings_tokenize_takes(self):
-        """Over a grid of durations, chunk lengths, frame rates and conv
-        kernels, validate accepts a config exactly when every chunk that
-        chunk_video cuts from a generated video holds a conv window."""
-        vocab = datagen.ConceptVocabulary.generate(2, 4, np.random.default_rng(0))
-        outcomes = set()
-        for duration, chunk_seconds, fps, kernel in itertools.product(
-                (2.3, 6.0, 7.0, 13.8, 100.0, 101.0), (1.0, 7 / 6, 1.15, 1.25, 2.0, 50.0),
-                (1, 6, 7), (1, 7, 8)):
-            cfg = RunConfig(duration=duration, chunk_seconds=chunk_seconds, fps=fps,
-                            conv_kernel=kernel, moments_per_video=1)
-            record = datagen.generate_video(vocab, 1, duration, fps, 0.1, rng_seed=0)
-            fits = min(len(c.features) for c in datagen.chunk_video(
-                record, chunk_seconds)) >= kernel
-            try:
-                cfg.validate()
-                accepted = True
-            except ConfigError as e:
-                assert "conv_kernel" in str(e), str(e)
-                accepted = False
-            assert accepted == fits, (duration, chunk_seconds, fps, kernel)
-            outcomes.add(fits)
-        assert outcomes == {True, False}
 
 
 class TestGenerate:
@@ -654,6 +629,73 @@ class TestEval:
 
 
 @pytest.fixture(scope="module")
+def short_last_chunk(dataset, tmp_path_factory):
+    """13-s videos at 2 fps in 6-s chunks of 12, 12 and 2 frames, one moment
+    a second, so every chunk has narrations; generated at conv_kernel 2.
+    Also a conv-3 config, and its checkpoint trained on the 12-frame chunks
+    of ``dataset``."""
+    root = tmp_path_factory.mktemp("short")
+    cli.cmd_generate(tiny_run_config(duration=13.0, moments_per_video=13, queries=8),
+                     root / "data")
+    cfg = tiny_run_config(conv_kernel=3, queries=8, epochs=1)
+    cli.cmd_train(cfg, dataset[1], root / "train")
+    (root / "cfg.json").write_text(cfg.to_json())
+    return root / "cfg.json", root / "data", root / "train" / cli.CHECKPOINT_NAME
+
+
+class TestChunkMeetsModel:
+    """Train and eval check the chunks they forward against the model
+    (ModelConfig.check_input) before --out is made; the run's generate
+    fields play no part."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["eval", "--task", "recognition"], ["eval", "--task", "nlq"]],
+        ids=["train", "recognition", "nlq"])
+    def test_chunk_shorter_than_the_kernel(self, short_last_chunk, tmp_path, capsys,
+                                           argv):
+        cfg_path, data, checkpoint = short_last_chunk
+        if argv[0] == "eval":
+            argv += ["--checkpoint", str(checkpoint)]
+        rc = cli.main(argv + ["--config", str(cfg_path), "--data", str(data),
+                              "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: shape: chunk video0000_c2 has 2 frames, fewer "
+                              "than conv_kernel (3)"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_short_chunk_without_narrations_still_trains(self, tmp_path):
+        """12.5-s videos at 2 fps in 6-s chunks of 12, 12 and 1 frames. The
+        second of two moments has its t before 12 s, so the 1-frame chunk
+        has no narration, is not trained, and a conv-2 run trains."""
+        cfg = tiny_run_config(duration=12.5, conv_kernel=1)
+        cli.cmd_generate(cfg, tmp_path / "data")
+        _, _, videos = cli.load_dataset(tmp_path / "data")
+        assert all(len(cs[-1].features) == 1 and not cs[-1].narrations
+                   for cs in videos.values())
+        path = cli.cmd_train(dataclasses.replace(cfg, conv_kernel=2, epochs=1),
+                             tmp_path / "data", tmp_path / "run")
+        assert path.exists()
+
+    def test_eval_of_a_long_kernel_needs_no_config(self, tmp_path, capsys):
+        """A conv-350 checkpoint trained on 400-frame chunks evaluates with
+        no --config, although the default config's 300-frame chunks would
+        not hold its kernel: eval checks the dataset's chunks."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_run_config(videos=2, duration=200.0, chunk_seconds=200.0,
+                                            conv_kernel=350, epochs=1).to_json())
+        data, run = str(tmp_path / "data"), tmp_path / "run"
+        assert cli.main(["generate", "--config", str(cfg_path), "--out", data]) == 0
+        assert cli.main(["train", "--config", str(cfg_path), "--data", data,
+                         "--out", str(run)]) == 0
+        for task in ("recognition", "nlq"):
+            rc = cli.main(["eval", "--data", data, "--out", str(run), "--task", task,
+                           "--checkpoint", str(run / cli.CHECKPOINT_NAME)])
+            assert rc == 0, capsys.readouterr().err
+            assert (run / f"report_{task}.json").exists()
+
+
+@pytest.fixture(scope="module")
 def mixed_trained(tmp_path_factory):
     """Four 130-s videos in 50-, 50- and 30-s chunks, and a checkpoint."""
     root = tmp_path_factory.mktemp("mixed")
@@ -926,14 +968,15 @@ class TestMainEntry:
         assert captured.err.startswith("error: config:"), captured.err
         assert entry.split(":")[0].strip('"') in captured.err
 
-    @pytest.mark.parametrize("command", ["generate", "eval"])
-    @pytest.mark.parametrize("duration, fault", [
-        (1e308, "2^32 frames"), (1e30, "2^32 frames"), (101.0, "conv_kernel (7)")])
+    @pytest.mark.parametrize("duration, fault, command", [
+        *((d, "2^32 frames", c) for d in (1e308, 1e30) for c in ("generate", "eval")),
+        (101.0, "conv_kernel (7)", "generate")])
     def test_duration_that_generate_cannot_cut(self, tmp_path, capsys, command,
                                                duration, fault):
         """A frame count that overflows, or does not fit the .maln header's
-        u32, or a 6-frame last chunk against a 7-frame conv kernel, is a
-        config error before any work."""
+        u32, is a config error before any work. A 6-frame last chunk against
+        a 7-frame conv kernel is a shape error naming the chunk, raised when
+        generate cuts it and before anything is written."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"duration": duration}))
         argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
@@ -943,7 +986,24 @@ class TestMainEntry:
         rc = cli.main(argv)
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: config:") and fault in err, err
+        expect = ("error: shape: chunk video0000_c2 has 6 frames" if duration == 101.0
+                  else "error: config:")
+        assert err.startswith(expect) and fault in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("entries", [
+        {"moments_per_video": 1000}, {"vocab_size": 40, "feature_dim": 2},
+        {"chunk_seconds": 1e-6}], ids=["moments", "vocab", "more_chunks_than_frames"])
+    def test_refused_generate_leaves_no_out(self, tmp_path, capsys, entries):
+        """Moments that do not fit a video, a vocabulary that does not fit
+        its width, or more chunks than frames: the videos and the vocabulary
+        are made and cut before any directory is, so no --out is left."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(entries))
+        rc = cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: datagen:"), err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["generate", "train"])
