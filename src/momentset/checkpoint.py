@@ -8,7 +8,7 @@
 The file states no tensor names or shapes: the config snapshot's model
 fields fix them through model.param_shapes, and the loader requires the
 file to be exactly as long as that layout. A version 1 file (which had a
-per-tensor name and shape table) is refused with VersionMismatchError.
+per-tensor name and shape table) is refused with FormatError.
 ``tensors`` keeps parameters under their own names and Adam moments under
 "opt.m.<name>" / "opt.v.<name>". Round trips are bit-exact.
 """
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import (BadMagicError, CheckpointError, ConfigError, TruncatedFileError,
-                     VersionMismatchError)
+from .errors import ConfigError, DataFileError, FormatError
 from .model import ModelConfig, MomentSetModel, param_shapes
 from .optim import Adam
 
@@ -85,7 +84,7 @@ def _unpack(f, size: int, fmt: str, path, what: str):
     """Read and unpack fmt from f after checking that the file holds all of it."""
     n = struct.calcsize(fmt)
     if size - f.tell() < n:
-        raise TruncatedFileError(f"{path}: truncated {what}")
+        raise FormatError(f"{path}: truncated {what}")
     return struct.unpack(fmt, f.read(n))
 
 
@@ -96,19 +95,18 @@ def _layout(snapshot: dict, payload_bytes: int, path) -> list[tuple[str, tuple]]
     that claims a huge model is refused without listing it."""
     try:  # a missing field reads as None, which from_dict rejects by type
         config = RunConfig.from_dict({k: snapshot.get(k) for k in MODEL_FIELDS})
-        config.model_config().validate()
     except ConfigError as e:
-        raise CheckpointError(f"{path}: bad config snapshot ({e})") from e
+        raise DataFileError(f"{path}: bad config snapshot ({e})") from e
     shapes, need = [], 0
     for name, shape in param_shapes(config):
         need += 3 * 8 * math.prod(shape)
         if need > payload_bytes:
-            raise CheckpointError(f"{path}: the snapshot's model needs more than the "
-                                  f"file's {payload_bytes} payload bytes")
+            raise DataFileError(f"{path}: the snapshot's model needs more than the "
+                                f"file's {payload_bytes} payload bytes")
         shapes.append((name, shape))
     if need != payload_bytes:
-        raise CheckpointError(f"{path}: {payload_bytes - need} bytes after the "
-                              "snapshot's model and its moments")
+        raise DataFileError(f"{path}: {payload_bytes - need} bytes after the "
+                            "snapshot's model and its moments")
     return shapes
 
 
@@ -123,21 +121,21 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
     try:
         f = open(path, "rb")
     except OSError as e:
-        raise CheckpointError(f"{path}: unreadable checkpoint ({e.strerror})") from e
+        raise DataFileError(f"{path}: unreadable checkpoint ({e.strerror})") from e
     with f:
         size = os.fstat(f.fileno()).st_size
         magic, version, cfg_len = _unpack(f, size, "<4sII", path, "header")
         if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}")
+            raise FormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
-            raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
+            raise FormatError(f"{path}: version {version}, expected {VERSION}")
         (cfg_bytes,) = _unpack(f, size, f"<{cfg_len}s", path, "config block")
         try:
             config = json.loads(cfg_bytes.decode("utf-8"))
         except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-            raise CheckpointError(f"{path}: unreadable config block ({e})") from e
+            raise DataFileError(f"{path}: unreadable config block ({e})") from e
         if not isinstance(config, dict):
-            raise CheckpointError(f"{path}: config block is not a JSON object")
+            raise DataFileError(f"{path}: config block is not a JSON object")
         epochs_done, step = _unpack(f, size, "<QQ", path, "counters")
         layout = _layout(config, size - f.tell(), path)
         if moments:
@@ -146,7 +144,7 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
         for name, shape in layout:
             arr = np.empty(shape, dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
-                raise TruncatedFileError(f"{path}: short read for '{name}'")
+                raise FormatError(f"{path}: short read for '{name}'")
             tensors[name] = arr
     return CheckpointData(config, epochs_done, step, tensors)
 
@@ -156,12 +154,13 @@ def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
     ModelConfig fields replaced by the snapshot's, and a model of that
     config holding the checkpoint's parameters. Adam moments are not read.
 
-    Raises CheckpointError when the snapshot lacks a model field, has one
+    Raises DataFileError when the snapshot lacks a model field, has one
     of the wrong type or fails ModelConfig.validate, or when the file is not
     exactly as long as that model's layout. All of it is checked before any
-    model array is allocated. No check mixes model and run fields, so the
-    result is valid whenever ``config`` is: the dataset's chunks are checked
-    against the model by the caller (ModelConfig.check_input).
+    model array is allocated. ``dataclasses.replace`` checks the merged
+    config again, and as no check mixes model and run fields it passes
+    whenever ``config`` did; the dataset's chunks are checked against the
+    model by the caller (ModelConfig.check_input).
     """
     data = load_checkpoint(path, moments=False)
     config = dataclasses.replace(config, **{k: data.config[k] for k in MODEL_FIELDS})
@@ -183,7 +182,7 @@ def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
     """
     differ = [k for k in IDENTITY_FIELDS if data.config.get(k) != getattr(config, k)]
     if differ:
-        raise CheckpointError(
+        raise DataFileError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
     for name, p in model.params.items():
         p.data = data.tensors[name]

@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,12 +18,10 @@ from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig, is_number
-from .errors import ConfigError, FeatureStoreError, MomentSetError, OptimizerError
+from .errors import ConfigError, DataFileError, MomentSetError
 from .model import MomentPrediction, MomentSetModel
 from .optim import Adam
 from .temporal import TemporalTable
-
-log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocab.npz"
@@ -54,7 +52,6 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     ``out_dir`` is refused first; then the vocabulary and every video are
     made, cut and checked against the config's model
     (ModelConfig.check_input), all before any directory or file is made."""
-    config.validate()
     out_dir = Path(out_dir)
     try:
         if not force and out_dir.exists() and any(out_dir.iterdir()):
@@ -129,31 +126,31 @@ _VIDEO_FIELDS = {
 
 
 def _check_manifest(manifest, path: Path):
-    """Raise FeatureStoreError naming ``path`` unless the manifest has the
+    """Raise DataFileError naming ``path`` unless the manifest has the
     keys and value types that the dataset readers index, the chunk count
     that datagen.chunk_video cuts, and narration times that interval
     sampling can take: every t, a and b finite, and each t in [0, duration]
     and no earlier than the one before it."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("vocab"), str)
             and isinstance(manifest.get("videos"), dict)):
-        raise FeatureStoreError(
+        raise DataFileError(
             f"{path}: a manifest needs a 'vocab' file name and a 'videos' object")
     for vid, meta in manifest["videos"].items():
         if not isinstance(meta, dict):
-            raise FeatureStoreError(f"{path}: video '{vid}' is not an object")
+            raise DataFileError(f"{path}: video '{vid}' is not an object")
         bad = [k for k, ok in _VIDEO_FIELDS.items() if k not in meta or not ok(meta[k])]
         if bad:
-            raise FeatureStoreError(
+            raise DataFileError(
                 f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
         # compared as a float, so a huge ratio is refused and never overflows
         if len(meta["chunks"]) != np.ceil(meta["duration"] / meta["chunk_seconds"]):
-            raise FeatureStoreError(f"{path}: video '{vid}' lists {len(meta['chunks'])} "
-                                    f"chunks, not ceil(duration / chunk_seconds)")
+            raise DataFileError(f"{path}: video '{vid}' lists {len(meta['chunks'])} "
+                                f"chunks, not ceil(duration / chunk_seconds)")
         times = [n["t"] for n in meta["narrations"]]
         if not (all(_finite(n[k]) for n in meta["narrations"] for k in "tab")
                 and all(0.0 <= t <= meta["duration"] for t in times)
                 and all(s <= t for s, t in zip(times, times[1:]))):
-            raise FeatureStoreError(
+            raise DataFileError(
                 f"{path}: video '{vid}' narration times must be finite, with each "
                 f"t in [0, {meta['duration']}] and in non-decreasing order")
 
@@ -165,7 +162,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
     The whole manifest is checked, but only the selected videos' chunk files
     are read; each chunk takes its narrations from its video's manifest
     entry (datagen.chunk_narrations). Raises ConfigError for a video id the
-    manifest lacks, and FeatureStoreError naming the file for a manifest
+    manifest lacks, and DataFileError naming the file for a manifest
     without the expected keys, types and narration times, a concept id
     outside the vocab, or a chunk whose feature width is not the vocab's."""
     data_dir = Path(data_dir)
@@ -177,7 +174,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
         raise ConfigError(
             f"{data_dir} is not a dataset directory ({e.strerror})") from e
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
-        raise FeatureStoreError(f"{manifest_path}: unreadable manifest ({e})") from e
+        raise DataFileError(f"{manifest_path}: unreadable manifest ({e})") from e
     _check_manifest(manifest, manifest_path)
     if video_ids is None:
         video_ids = list(manifest["videos"])
@@ -189,8 +186,8 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
         bad = [c for c in meta["labels"] + [n["concept_id"] for n in meta["narrations"]]
                if isinstance(c, bool) or not (isinstance(c, int) and 0 <= c < vocab.size)]
         if bad:
-            raise FeatureStoreError(f"{manifest_path}: concept ids {bad} outside "
-                                    f"the vocabulary of {vocab.size}")
+            raise DataFileError(f"{manifest_path}: concept ids {bad} outside "
+                                f"the vocabulary of {vocab.size}")
     videos: dict[str, list[datagen.VideoRecord]] = {}
     for vid in video_ids:
         meta = manifest["videos"][vid]
@@ -203,7 +200,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
             dur = min(cs, meta["duration"] - k * cs)
             chunk = datagen.load(data_dir / rel, f"{vid}_c{k}", dur, meta["fps"])
             if chunk.features.shape[1] != vocab.dim:
-                raise FeatureStoreError(
+                raise DataFileError(
                     f"{data_dir / rel}: feature width {chunk.features.shape[1]}, "
                     f"vocabulary width {vocab.dim}")
             chunk.narrations = narrations[k]
@@ -242,7 +239,6 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
     Every chunk trained is checked against the model
     (ModelConfig.check_input) before ``out_dir`` is made; a chunk without
     narrations is not forwarded, so it is not checked."""
-    config.validate()
     out_dir = Path(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs if c.narrations]
@@ -280,8 +276,6 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               if config.freeze_intervals else None)
 
     ckpt_path = out_dir / CHECKPOINT_NAME
-    steps_per_epoch = math.ceil(len(chunks) / config.batch_size)
-    step = start_epoch * steps_per_epoch
     mode = "a" if resume_from is not None and log_path.exists() else "w"
     with open(log_path, mode, newline="") as f:
         writer = csv.writer(f)
@@ -296,14 +290,10 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
                 batch = [chunks[i] for i in idx]
                 samples = ([frozen[i] for i in idx] if frozen is not None else
                            [matching.sample_chunk_intervals(c, rng) for c in batch])
-                try:
-                    stats = matching.train_step(model, vocab, batch, samples, optimizer)
-                except OptimizerError:
-                    log.error("aborting: non-finite loss/gradient at step %d; "
-                              "last-good checkpoint kept at %s", step, ckpt_path)
-                    raise
-                step += 1
-                writer.writerow([step, f"{stats.loss:.10g}",
+                stats = matching.train_step(model, vocab, batch, samples, optimizer)
+                # a row's step is the optimizer's, so a resume continues
+                # from the checkpoint's step, on any dataset
+                writer.writerow([optimizer.step_count, f"{stats.loss:.10g}",
                                  f"{stats.matched_sim_mean:.10g}",
                                  f"{stats.unmatched_sim_mean:.10g}",
                                  f"{stats.temperature:.10g}",
@@ -450,7 +440,6 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     and every chunk of the selected videos passes the checkpoint model's
     ModelConfig.check_input.
     """
-    config.validate()
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")
     out_dir = Path(out_dir)
@@ -478,12 +467,12 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
 # ---------------------------------------------------------------------------
 
 def _load_config(args) -> RunConfig:
+    """The --config file's config, or the defaults, with --seed and
+    --workers applied; each config made on the way is checked."""
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
-    return cfg
+    overrides = {k: getattr(args, k) for k in ("seed", "workers")
+                 if getattr(args, k) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def make_parser() -> argparse.ArgumentParser:

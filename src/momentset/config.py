@@ -28,13 +28,16 @@ def _is_a(v, field_type) -> bool:
     return isinstance(v, field_type)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(ModelConfig):
     """The model fields (inherited from ModelConfig) plus the dataset,
     optimizer-schedule and generate fields of one run. Adam's betas and
     epsilon (optim.py) and the NLQ protocol (cli.py) are constants.
 
-    ``validate`` checks each field on its own terms and no rule that mixes
+    A config is frozen, and ``validate`` (ConfigError) runs whenever one is
+    made: from a file, by the constructor, or by ``dataclasses.replace``
+    (cli's --seed and --workers, and the snapshot that load_model merges).
+    It checks each field on its own terms and no rule that mixes
     model and run fields: whether a chunk holds a conv window is checked on
     the chunks themselves (ModelConfig.check_input), by generate on those it
     cuts and by train and eval on those they forward."""

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FeatureStoreError,
-    GenerationError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import DataFileError, FormatError, GenerationError
 
 MAGIC = b"MALN"
 VERSION = 2
@@ -96,17 +90,17 @@ class ConceptVocabulary:
 
     @classmethod
     def load(cls, path) -> "ConceptVocabulary":
-        """Raises FeatureStoreError naming ``path`` unless the file holds a
+        """Raises DataFileError naming ``path`` unless the file holds a
         non-empty 2-D array of finite unit rows."""
         try:
             with np.load(path) as z:
                 vectors = np.asarray(z["vectors"], dtype=np.float64)
         except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
-            raise FeatureStoreError(f"{path}: unreadable vocabulary ({e})") from e
+            raise DataFileError(f"{path}: unreadable vocabulary ({e})") from e
         # a NaN or an infinity makes its row's norm fail the test
         if not (vectors.ndim == 2 and vectors.size > 0 and np.all(
                 np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= UNIT_NORM_TOL)):
-            raise FeatureStoreError(
+            raise DataFileError(
                 f"{path}: vocabulary vectors must be a non-empty 2-D array of "
                 f"finite unit rows, got shape {vectors.shape}")
         return cls(vectors)
@@ -228,25 +222,26 @@ def store(record: VideoRecord, path):
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    """Read one chunk's frames, as a record with an empty narration list; raises a
-    FeatureStoreError naming the file for bad framing."""
+    """Read one chunk's frames, as a record with an empty narration list. Raises
+    FormatError naming the file for a bad header or a short payload, and
+    DataFileError for an unreadable file or trailing bytes."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
     except OSError as e:
-        raise FeatureStoreError(f"{path}: unreadable chunk ({e.strerror})") from e
+        raise DataFileError(f"{path}: unreadable chunk ({e.strerror})") from e
     if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: shorter than the 16-byte header")
+        raise FormatError(f"{path}: shorter than the 16-byte header")
     magic, version, T, C = struct.unpack_from("<4sIII", blob, 0)
     if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, expected {VERSION}")
+        raise FormatError(f"{path}: version {version}, expected {VERSION}")
     end = 16 + T * C * 4
     if len(blob) < end:
-        raise TruncatedFileError(f"{path}: truncated feature payload")
+        raise FormatError(f"{path}: truncated feature payload")
     if len(blob) != end:
-        raise FeatureStoreError(
+        raise DataFileError(
             f"{path}: {len(blob) - end} trailing bytes after the feature payload")
     feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=16).reshape(T, C)
     return VideoRecord(video_id, duration, fps, feats)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: MomentSetError and one
+subclass per category, the word the CLI prints as ``error: <category>:``."""
 
 
 class MomentSetError(Exception):
@@ -8,18 +9,14 @@ class MomentSetError(Exception):
 
 
 class ShapeError(MomentSetError):
+    """An array of the wrong rank or width, or an input shorter than one
+    conv window."""
     category = "shape"
 
 
-class RankError(MomentSetError):
-    category = "shape"
-
-
-class DomainError(MomentSetError):
-    category = "numeric"
-
-
-class DegenerateVectorError(MomentSetError):
+class NumericError(MomentSetError):
+    """A value outside an op's domain, a near-zero-norm row, or a
+    non-finite loss or gradient."""
     category = "numeric"
 
 
@@ -35,10 +32,6 @@ class TimestampRangeError(MomentSetError):
     category = "range"
 
 
-class InputTooShortError(MomentSetError):
-    category = "shape"
-
-
 class CapacityError(MomentSetError):
     category = "matching"
 
@@ -47,25 +40,13 @@ class ContractError(MomentSetError):
     category = "contract"
 
 
-class OptimizerError(MomentSetError):
-    category = "numeric"
-
-
-class FeatureStoreError(MomentSetError):
-    category = "io"
-
-
-class BadMagicError(FeatureStoreError):
+class FormatError(MomentSetError):
+    """A chunk or checkpoint file with a bad magic, an unknown version, or
+    fewer bytes than its header promises."""
     category = "format"
 
 
-class VersionMismatchError(FeatureStoreError):
-    category = "format"
-
-
-class TruncatedFileError(FeatureStoreError):
-    category = "format"
-
-
-class CheckpointError(MomentSetError):
+class DataFileError(MomentSetError):
+    """A dataset or checkpoint file that cannot be read or does not fit the
+    run: a bad manifest, vocabulary or config snapshot."""
     category = "io"

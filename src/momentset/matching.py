@@ -16,7 +16,7 @@ from scipy.special import expit
 from . import tensor as tt
 from .datagen import (UNIT_NORM_TOL, ConceptVocabulary, MomentSample, VideoRecord,
                       sample_interval)
-from .errors import CapacityError, ContractError, DomainError
+from .errors import CapacityError, ContractError, NumericError
 from .model import MomentPrediction, MomentSetModel
 from .tensor import Tensor
 
@@ -69,7 +69,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if n < m:
         raise CapacityError(f"{m} ground-truth moments but only {n} queries")
     if not np.all(np.isfinite(cost)):
-        raise DomainError("assignment cost has a non-finite entry")
+        raise NumericError("assignment cost has a non-finite entry")
     _, assignment = linear_sum_assignment(cost.T)
     return assignment
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, InputTooShortError, ShapeError
+from .errors import ConfigError, ShapeError
 from .temporal import TemporalTable
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """The model's fields; validate runs when a config is made."""
     feature_dim: int = 64        # C
     model_dim: int = 64          # d
     conv_kernel: int = 7         # kernel == stride (non-overlap)
@@ -38,8 +39,14 @@ class ModelConfig:
     # unmatched pairs, useful for hard-negative overfit runs.
     loss_bias_init: float = -10.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         problems = []
+        # a JSON config file or a checkpoint snapshot can set NaN or Infinity
+        if not math.isfinite(self.loss_bias_init):
+            problems.append("loss_bias_init must be finite")
         if self.heads * self.head_dim != self.model_dim:
             problems.append(
                 f"heads*head_dim ({self.heads}*{self.head_dim}) != model_dim "
@@ -62,14 +69,13 @@ class ModelConfig:
     def check_input(self, shape, what: str = "input"):
         """The model's input rule, on the shape of a ``... x T x C`` frame
         array that ``what`` names: C must be feature_dim and T at least one
-        conv window (conv_kernel frames). Raises ShapeError, or
-        InputTooShortError (category shape too) for a short T."""
+        conv window (conv_kernel frames). Raises ShapeError."""
         if shape[-1] != self.feature_dim:
             raise ShapeError(f"{what} is {shape[-1]} wide, the model's feature_dim "
                              f"is {self.feature_dim}")
         if shape[-2] < self.conv_kernel:
-            raise InputTooShortError(f"{what} has {shape[-2]} frames, fewer than "
-                                     f"conv_kernel ({self.conv_kernel})")
+            raise ShapeError(f"{what} has {shape[-2]} frames, fewer than "
+                             f"conv_kernel ({self.conv_kernel})")
 
     @classmethod
     def paper_scale(cls) -> "ModelConfig":
@@ -194,7 +200,6 @@ class MomentSetModel:
     """
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
-        config.validate()
         self.config = config
         self.params = {name: Tensor(_init_param(name, shape, config, rng), requires_grad=True)
                        for name, shape in param_shapes(config)}

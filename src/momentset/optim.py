@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, OptimizerError
+from .errors import ContractError, NumericError
 from .tensor import Tensor
 
 # Plain Adam (Kingma & Ba, ICLR 2015) with its published defaults.
@@ -45,7 +45,7 @@ class Adam:
 
     def step(self):
         """One update. Every gradient is checked first, so a non-finite one
-        raises OptimizerError (and non-contiguous storage ContractError) with
+        raises NumericError (and non-contiguous storage ContractError) with
         no parameter, moment or count changed.
 
         The check is one ``g . g`` per parameter, which allocates nothing. It
@@ -68,7 +68,7 @@ class Adam:
             with np.errstate(over="ignore"):  # an overflow is refused below
                 sq = np.dot(g, g)
             if not np.isfinite(sq):
-                raise OptimizerError(
+                raise NumericError(
                     f"non-finite or overflowing gradient in parameter '{name}' "
                     f"at step {t}"
                 )

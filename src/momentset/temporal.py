@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DegenerateVectorError, TimestampRangeError
+from .errors import ConfigError, NumericError, TimestampRangeError
 from .tensor import Tensor, _record
 
 
@@ -110,7 +110,7 @@ class TemporalTable:
         dur = _durations(duration, p.shape[:-1])
         norms = np.linalg.norm(p, axis=-1, keepdims=True)
         if not np.all(np.isfinite(norms) & (norms >= 1e-12)):
-            raise DegenerateVectorError(
+            raise NumericError(
                 "decode_timestamps: zero-norm or non-finite prediction")
         rows = self.table.data
         row_norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-12)

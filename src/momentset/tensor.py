@@ -14,12 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    DegenerateVectorError,
-    DomainError,
-    RankError,
-    ShapeError,
-)
+from .errors import NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -120,7 +115,7 @@ def backward(loss: Tensor):
     no defensive copies.
     """
     if loss.data.size != 1:
-        raise RankError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     loss.grad = np.ones_like(loss.data)
     for node in reversed(_TAPE):
         g_out = node.out.grad
@@ -236,7 +231,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
-        raise DomainError("log: non-positive entry")
+        raise NumericError("log: non-positive entry")
     out = Tensor(np.log(a.data))
     return _record(out, (a,), lambda g: (g / a.data,))
 
@@ -375,7 +370,7 @@ def l2_normalize(a: Tensor) -> Tensor:
     x = a.data
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if np.any(norm < 1e-12):
-        raise DegenerateVectorError("l2_normalize: row with near-zero norm")
+        raise NumericError("l2_normalize: row with near-zero norm")
     y = x / norm
     out = Tensor(y)
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -15,13 +16,7 @@ from momentset import checkpoint as ckpt
 from momentset import cli, datagen, matching
 from momentset import tensor as tt
 from momentset.config import RunConfig
-from momentset.errors import (
-    CheckpointError,
-    ConfigError,
-    FeatureStoreError,
-    MomentSetError,
-    ShapeError,
-)
+from momentset.errors import ConfigError, DataFileError, MomentSetError, ShapeError
 from momentset.model import ModelConfig, MomentSetModel
 
 
@@ -78,12 +73,27 @@ class TestConfig:
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ConfigError, match="even"):
-            tiny_run_config(model_dim=7, heads=1, head_dim=7).validate()
+            tiny_run_config(model_dim=7, heads=1, head_dim=7)
         with pytest.raises(ConfigError, match="heads"):
-            tiny_run_config(heads=3).validate()
+            tiny_run_config(heads=3)
         for bad in ({"heads": -2, "head_dim": -4}, {"enc_layers": -1}, {"ffn_hidden": 0}):
             with pytest.raises(ConfigError, match=">= "):
-                tiny_run_config(**bad).validate()
+                tiny_run_config(**bad)
+
+    def test_config_is_checked_when_made_and_frozen(self):
+        """A config cannot exist unchecked: it is validated when built,
+        directly or by dataclasses.replace, and no field can be assigned."""
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
+        with pytest.raises(ConfigError, match="heads"):
+            ModelConfig(heads=3)
+        with pytest.raises(ConfigError, match="lr must be positive"):
+            dataclasses.replace(RunConfig(), lr=0.0)
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.model_config().heads = 3
 
     def test_flat_schema_and_model_fields(self):
         assert sorted(RunConfig().to_dict()) == [
@@ -97,7 +107,7 @@ class TestConfig:
 
     def test_queries_need_only_fit_one_chunk(self):
         # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
-        RunConfig(duration=600, moments_per_video=24).validate()
+        RunConfig(duration=600, moments_per_video=24)
 
 
 class TestGenerate:
@@ -163,7 +173,7 @@ class TestLoadDataset:
             for a, b in zip(chunks, full[vid], strict=True):
                 assert a.features.tobytes() == b.features.tobytes()
                 assert a.narrations == b.narrations
-        with pytest.raises(FeatureStoreError, match="video0001"):
+        with pytest.raises(DataFileError, match="video0001"):
             cli.load_dataset(bad)
 
     def test_chunks_get_the_narrations_that_generate_cut(self, tmp_path, monkeypatch):
@@ -266,7 +276,7 @@ class TestTrain:
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         other = tiny_run_config(lr=5e-4)
         target, opt, kept = _resumable(other)
-        with pytest.raises(CheckpointError, match=r"config does not match.*\(lr\)"):
+        with pytest.raises(DataFileError, match=r"config does not match.*\(lr\)"):
             ckpt.restore(ckpt.load_checkpoint(path), other, target, opt)
         _assert_unchanged(target, opt, kept)
 
@@ -287,7 +297,7 @@ class TestTrain:
         for change, field in (({"loss_bias_init": 0.0}, "loss_bias_init"),
                               ({"queries": 5}, "queries")):
             other = tiny_run_config(**change)
-            with pytest.raises(CheckpointError, match=rf"config does not match.*\({field}\)"):
+            with pytest.raises(DataFileError, match=rf"config does not match.*\({field}\)"):
                 ckpt.restore(ckpt.load_checkpoint(path), other,
                              cli.build_model(other),
                              cli.build_optimizer(other, cli.build_model(other)))
@@ -353,10 +363,10 @@ class TestTrain:
         path = tmp_path / "x.malc"
         ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
         path.write_bytes(edit(path.read_bytes()))
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(DataFileError, match=match):
             ckpt.load_model(path, cfg)
         target, opt, kept = _resumable(cfg)
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(DataFileError, match=match):
             ckpt.restore(ckpt.load_checkpoint(path), cfg, target, opt)
         _assert_unchanged(target, opt, kept)
 
@@ -402,13 +412,12 @@ class TestTrain:
                                  (b"[]", "JSON object")):
             path.write_bytes(struct.pack("<4sII", ckpt.MAGIC, ckpt.VERSION, len(cfg_bytes))
                              + cfg_bytes + struct.pack("<QQ", 0, 0))
-            with pytest.raises(CheckpointError, match=match):
+            with pytest.raises(DataFileError, match=match):
                 ckpt.load_checkpoint(path)
 
     def test_chunk_with_more_narrations_than_queries(self, tmp_path):
         # one 12-s chunk holds both moments of each video
         cfg = tiny_run_config(videos=1, chunk_seconds=12.0, queries=1)
-        cfg.validate()
         cli.cmd_generate(cfg, tmp_path / "data")
         with pytest.raises(ConfigError, match="queries"):
             cli.cmd_train(cfg, tmp_path / "data", tmp_path / "run")
@@ -432,6 +441,25 @@ class TestTrain:
         assert part_rows == full_rows
         assert (full / cli.CHECKPOINT_NAME).read_bytes() == \
             (part / cli.CHECKPOINT_NAME).read_bytes()
+
+    def test_resume_on_another_dataset_numbers_steps_from_the_checkpoint(self, tmp_path):
+        """A 1-epoch run on 4 videos resumed to 2 epochs on 12 continues the
+        log from the checkpoint's step, though the new dataset has more
+        steps an epoch: the rows are steps 1, 2, ... with no gap, and the
+        last is the checkpoint's step."""
+        cfg = tiny_run_config(batch_size=8, epochs=2)
+        small, large = tmp_path / "small", tmp_path / "large"
+        cli.cmd_generate(dataclasses.replace(cfg, videos=4), small)
+        cli.cmd_generate(dataclasses.replace(cfg, videos=12), large)
+        run = tmp_path / "run"
+        cli.cmd_train(dataclasses.replace(cfg, epochs=1), small, run)
+        first = ckpt.load_checkpoint(run / cli.CHECKPOINT_NAME).step
+        cli.cmd_train(cfg, large, run, resume_from=run / cli.CHECKPOINT_NAME)
+        with open(run / cli.TRAIN_LOG_NAME) as f:
+            steps = [int(row["step"]) for row in csv.DictReader(f)]
+        last = ckpt.load_checkpoint(run / cli.CHECKPOINT_NAME).step
+        assert last - first > first  # more steps an epoch on the large dataset
+        assert steps == list(range(1, last + 1))
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["fresh", "frozen"])
     def test_chunks_without_narrations_are_not_trained(self, tmp_path, freeze):
@@ -592,7 +620,7 @@ class TestEval:
         edit_snapshot(trained, path, edit)
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         t0 = time.perf_counter()
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DataFileError):
             ckpt.load_model(path, cfg)
         seconds = time.perf_counter() - t0
         grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_kb
@@ -799,6 +827,19 @@ class TestEvalBatching:
 
 
 class TestMainEntry:
+    def test_each_category_has_one_error_class(self):
+        """The CLI prints a refusal as ``error: <category>:``; each of the
+        nine category words is the category of exactly one class."""
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        categories = [c.category for c in subclasses(MomentSetError)]
+        assert len(categories) == len(set(categories)), sorted(categories)
+        assert set(categories) == {"shape", "numeric", "config", "datagen", "range",
+                                   "matching", "contract", "format", "io"}
+
     def test_generate_and_error_paths(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(tiny_run_config().to_json())
@@ -1011,6 +1052,7 @@ class TestMainEntry:
         ("duration", math.nan), ("duration", math.inf), ("chunk_seconds", math.nan),
         ("noise_level", math.inf), ("lr", math.nan), ("lr", -math.inf), ("lr", 0.0),
         ("lr", -1e-3), ("videos", 0), ("vocab_size", 0), ("seed", -3),
+        ("loss_bias_init", math.nan), ("loss_bias_init", math.inf),
     ])
     def test_config_value_that_spoils_a_run(self, dataset, tmp_path, capsys,
                                             command, key, value):

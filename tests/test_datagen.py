@@ -8,13 +8,7 @@ import pytest
 from momentset import cli, datagen
 from momentset.config import RunConfig
 from momentset.datagen import ConceptVocabulary, Narration, VideoRecord
-from momentset.errors import (
-    BadMagicError,
-    FeatureStoreError,
-    GenerationError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from momentset.errors import DataFileError, FormatError, GenerationError
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +229,7 @@ class TestFeatureStore:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(FormatError):
             datagen.load(path, "x", 20.0, 6)
 
     def test_version_mismatch(self, vocab, tmp_path):
@@ -245,7 +239,7 @@ class TestFeatureStore:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(FormatError):
             datagen.load(path, "x", 20.0, 6)
 
     def test_truncated(self, vocab, tmp_path):
@@ -254,7 +248,7 @@ class TestFeatureStore:
         datagen.store(rec, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(FormatError):
             datagen.load(path, "x", 20.0, 6)
 
     @pytest.mark.parametrize("j, field, value", [
@@ -267,7 +261,7 @@ class TestFeatureStore:
         """Times that interval sampling cannot draw between are refused when
         the dataset loads, naming the manifest."""
         bad = with_narrations(dataset, tmp_path, lambda ns: ns[j].update({field: value}))
-        with pytest.raises(FeatureStoreError, match="manifest.json.*narration times"):
+        with pytest.raises(DataFileError, match="manifest.json.*narration times"):
             cli.load_dataset(bad)
 
     def test_narration_times_at_the_bounds_load(self, dataset, tmp_path):

@@ -9,7 +9,7 @@ from helpers import finite_diff_check
 from momentset import matching
 from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, MomentSample, generate_video
-from momentset.errors import CapacityError, ContractError, DomainError, OptimizerError
+from momentset.errors import CapacityError, ContractError, NumericError
 from momentset.matching import GroundTruthSet
 from momentset.model import ModelConfig, MomentPrediction, MomentSetModel
 from momentset.tensor import Tensor
@@ -133,7 +133,7 @@ def test_hungarian_rejects_non_finite_cost():
     for bad in (np.nan, np.inf):
         cost = np.zeros((3, 2))
         cost[1, 0] = bad
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericError):
             matching.hungarian(cost)
 
 
@@ -289,11 +289,11 @@ class TestTrainStep:
                              queries=4, temporal_rows=8, ffn_hidden=16)
         model = MomentSetModel(config, np.random.default_rng(2))
         samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
-        with pytest.raises(OptimizerError):
+        with pytest.raises(NumericError):
             matching.train_step(model, vocab, [chunk], samples, NanGradAdam(model.params))
         assert tt.tape_size() == 0
         model.params["queries"].data[:] = np.nan  # NaN cost matrix
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(NumericError, match="non-finite"):
             matching.train_step(model, vocab, [chunk], samples, Adam(model.params))
         assert tt.tape_size() == 0
 

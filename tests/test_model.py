@@ -5,7 +5,7 @@ import pytest
 
 from helpers import finite_diff_check
 from momentset import tensor as tt
-from momentset.errors import ConfigError, InputTooShortError
+from momentset.errors import ConfigError, ShapeError
 from momentset.model import ModelConfig, MomentSetModel, _init_normal
 from momentset.tensor import Tensor
 
@@ -58,7 +58,7 @@ class TestTokenize:
 
     def test_too_short(self):
         model = make(tiny_config(conv_kernel=7))
-        with pytest.raises(InputTooShortError):
+        with pytest.raises(ShapeError):
             model.tokenize(np.zeros((6, 6)))
 
     def test_kernel_one_is_per_frame_linear_map(self):
@@ -292,7 +292,7 @@ class TestForward:
     def test_forward_chunks_reject_a_chunk_shorter_than_the_kernel(self):
         model = make(tiny_config(conv_kernel=3))
         rng = np.random.default_rng(16)
-        with pytest.raises(InputTooShortError, match="2 frames"):
+        with pytest.raises(ShapeError, match="2 frames"):
             model.forward_chunks([rng.standard_normal((t, 6)) for t in (7, 2)])
 
     @pytest.mark.parametrize("shape, fan_in", [((6, 8), 6), ((3, 8), 8), ((40, 50), 40)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from momentset import tensor as tt
-from momentset.errors import ContractError, OptimizerError
+from momentset.errors import ContractError, NumericError
 from momentset.optim import BLOCK, Adam
 from momentset.tensor import Tensor
 
@@ -40,7 +40,7 @@ def test_nan_gradient_halts_with_diagnostics():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = Adam({"weights": p})
     p.grad = np.array([np.nan])
-    with pytest.raises(OptimizerError, match="weights"):
+    with pytest.raises(NumericError, match="weights"):
         opt.step()
 
 
@@ -58,7 +58,7 @@ def test_nan_in_last_gradient_changes_nothing():
     for p in params.values():
         p.grad = rng.standard_normal(3)
     params["c"].grad[1] = np.nan
-    with pytest.raises(OptimizerError, match="'c' at step 2"):
+    with pytest.raises(NumericError, match="'c' at step 2"):
         opt.step()
     assert opt.step_count == 1
     for k, p in params.items():
@@ -80,7 +80,7 @@ def test_overflowing_gradient_is_refused_before_any_write():
     before = [(p.data.copy(), opt.m[k].copy(), opt.v[k].copy())
               for k, p in params.items()]
     params["b"].grad[2] = 1e160
-    with pytest.raises(OptimizerError, match="'b' at step 2"):
+    with pytest.raises(NumericError, match="'b' at step 2"):
         opt.step()
     assert opt.step_count == 1
     for (k, p), (data, m, v) in zip(params.items(), before):

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import finite_diff_check
 from momentset import tensor as tt
-from momentset.errors import ConfigError, DegenerateVectorError, TimestampRangeError
+from momentset.errors import ConfigError, NumericError, TimestampRangeError
 from momentset.temporal import TemporalTable
 
 
@@ -134,7 +134,7 @@ class TestTimestampCodec:
 
     def test_decode_degenerate(self):
         table = TemporalTable.init_sinusoidal(4, 4)
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(NumericError):
             table.decode_timestamp(np.zeros(4), 10.0)
 
     def test_decode_ties_prefer_smaller_index(self):
@@ -191,7 +191,7 @@ class TestDecodeTimestamps:
         for i in range(4):
             preds = rng.standard_normal((4, 4))
             preds[i] = 0.0
-            with pytest.raises(DegenerateVectorError):
+            with pytest.raises(NumericError):
                 table.decode_timestamps(preds, 10.0)
 
     def test_stacked_with_per_chunk_durations(self):
@@ -251,7 +251,7 @@ class TestNonFiniteTimes:
         table = TemporalTable.init_sinusoidal(6, 4)
         preds = np.ones((3, 4))
         preds[1, 2] = bad
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(NumericError):
             table.decode_timestamps(preds, 10.0)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import finite_diff_check
 from momentset import tensor as tt
-from momentset.errors import DegenerateVectorError, DomainError, RankError, ShapeError
+from momentset.errors import NumericError, ShapeError
 from momentset.tensor import Tensor
 
 
@@ -90,7 +90,7 @@ class TestElementwise:
         assert np.all(np.isfinite(out))
 
     def test_log_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(NumericError):
             tt.log(Tensor([1.0, 0.0]))
 
     def test_neg_scale(self):
@@ -113,7 +113,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
 
     def test_degenerate_row(self):
-        with pytest.raises(DegenerateVectorError):
+        with pytest.raises(NumericError):
             tt.l2_normalize(Tensor(np.zeros((1, 4))))
 
 
@@ -154,7 +154,7 @@ class TestBackward:
 
     def test_non_scalar_loss(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        with pytest.raises(RankError):
+        with pytest.raises(ShapeError):
             tt.backward(x * x)
 
     def test_reused_tensor_accumulates(self):
