@@ -68,7 +68,7 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                     optimizer: Adam, epochs_done: int):
     arrays = [p.data for p in model.params.values()]
     for k in model.params:
-        arrays += optimizer.moments(k)
+        arrays += optimizer.m[k], optimizer.v[k]
     cfg_bytes = config.to_json().encode("utf-8")
     with replace_file(path) as f:
         f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
@@ -152,7 +152,8 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
 def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
     """The model a checkpoint holds, for eval: ``config`` with its
     ModelConfig fields replaced by the snapshot's, and a model of that
-    config holding the checkpoint's parameters. Adam moments are not read.
+    config that wraps the checkpoint's parameter arrays. Adam moments are
+    not read.
 
     Raises DataFileError when the snapshot lacks a model field, has one
     of the wrong type or fails ModelConfig.validate, or when the file is not
@@ -164,28 +165,25 @@ def load_model(path, config: RunConfig) -> tuple[RunConfig, MomentSetModel]:
     """
     data = load_checkpoint(path, moments=False)
     config = dataclasses.replace(config, **{k: data.config[k] for k in MODEL_FIELDS})
-    model = MomentSetModel(config.model_config(), rng=None)
-    for name, p in model.params.items():
-        p.data = data.tensors[name]
-    return config, model
+    return config, MomentSetModel(config, data.tensors)
 
 
-def restore(data: CheckpointData, config: RunConfig, model: MomentSetModel,
-            optimizer: Adam):
-    """Load a checkpoint into the model and optimizer of a resumed run.
+def restore(data: CheckpointData, config: RunConfig) -> tuple[MomentSetModel, Adam]:
+    """The model and the optimizer of a run resumed from ``data``.
 
-    Takes ownership of ``data``'s arrays: the model and the optimizer hold
-    them afterwards, uncopied, so ``data`` must not be restored again. The
-    IDENTITY_FIELDS of the snapshot and ``config`` must match, which fixes
-    the parameter layout too; a mismatch is raised before anything is
-    assigned, so a bad checkpoint changes nothing.
+    The IDENTITY_FIELDS of the snapshot and ``config`` must match, which
+    fixes the parameter layout too, or DataFileError is raised. The model
+    and an Adam with ``config.lr`` hold ``data``'s parameter and moment
+    arrays, uncopied, and the optimizer its step count; so ``data`` must
+    not be restored again.
     """
     differ = [k for k in IDENTITY_FIELDS if data.config.get(k) != getattr(config, k)]
     if differ:
         raise DataFileError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
-    for name, p in model.params.items():
-        p.data = data.tensors[name]
+    model = MomentSetModel(config, data.tensors)
+    optimizer = Adam(model.params, lr=config.lr)
     optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}
     optimizer.v = {k: data.tensors[f"opt.v.{k}"] for k in model.params}
     optimizer.step_count = data.step
+    return model, optimizer

@@ -17,9 +17,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
-from .config import RunConfig, is_number
+from .config import RunConfig, is_finite_number, is_number
 from .errors import ConfigError, DataFileError, MomentSetError
-from .model import MomentPrediction, MomentSetModel
+from .model import MomentPrediction, MomentSetModel, init_params
 from .optim import Adam
 from .temporal import TemporalTable
 
@@ -105,17 +105,11 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     return out_dir / MANIFEST_NAME
 
 
-def _finite(v) -> bool:
-    """A JSON number that a float holds finitely; an int too large for a
-    float is refused, where math.isfinite would raise OverflowError."""
-    return is_number(v) and abs(v) <= sys.float_info.max
-
-
 # what load_dataset and eval read of each manifest video entry
 _VIDEO_FIELDS = {
-    "duration": _finite,
+    "duration": is_finite_number,
     "fps": is_number,
-    "chunk_seconds": lambda v: _finite(v) and v > 0,
+    "chunk_seconds": lambda v: is_finite_number(v) and v > 0,
     "chunks": lambda v: isinstance(v, list) and v != [] and all(
         isinstance(c, str) for c in v),
     "labels": lambda v: isinstance(v, list),
@@ -147,7 +141,7 @@ def _check_manifest(manifest, path: Path):
             raise DataFileError(f"{path}: video '{vid}' lists {len(meta['chunks'])} "
                                 f"chunks, not ceil(duration / chunk_seconds)")
         times = [n["t"] for n in meta["narrations"]]
-        if not (all(_finite(n[k]) for n in meta["narrations"] for k in "tab")
+        if not (all(is_finite_number(n[k]) for n in meta["narrations"] for k in "tab")
                 and all(0.0 <= t <= meta["duration"] for t in times)
                 and all(s <= t for s, t in zip(times, times[1:]))):
             raise DataFileError(
@@ -214,7 +208,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
 # ---------------------------------------------------------------------------
 
 def build_model(config: RunConfig) -> MomentSetModel:
-    return MomentSetModel(config.model_config(), np.random.default_rng([config.seed, 2]))
+    return MomentSetModel(config, init_params(config, np.random.default_rng([config.seed, 2])))
 
 
 def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
@@ -251,14 +245,13 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             f"a chunk has {max_narr} narrations but the model only has "
             f"{config.queries} queries")
 
-    # a resumed run's model is allocated, not drawn: the checkpoint fills it
-    model = (build_model(config) if resume_from is None
-             else MomentSetModel(config.model_config(), rng=None))
-    optimizer = build_optimizer(config, model)
-    start_epoch = 0
-    if resume_from is not None:
+    if resume_from is None:
+        model = build_model(config)
+        optimizer = build_optimizer(config, model)
+        start_epoch = 0
+    else:
         data = ckpt.load_checkpoint(resume_from)
-        ckpt.restore(data, config, model, optimizer)
+        model, optimizer = ckpt.restore(data, config)
         start_epoch = data.epochs_done
         if start_epoch >= config.epochs:
             raise ConfigError(f"nothing to train: {resume_from} already holds "

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -16,15 +17,22 @@ def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def is_finite_number(v) -> bool:
+    """A JSON number that a float holds finitely. An int too large for a
+    float is refused, where float() and math.isfinite raise OverflowError."""
+    return is_number(v) and abs(v) <= sys.float_info.max
+
+
 def _is_a(v, field_type) -> bool:
-    """Whether a JSON value fits a field: an int field takes no bool, and a
-    float field also takes an int."""
+    """Whether a JSON value fits a field: an int field takes no bool, a
+    float field also takes an int, and an int must be one a float holds.
+    A NaN or infinite float fits, for validate to refuse by name."""
     if field_type is bool:
         return isinstance(v, bool)
     if field_type is int:
-        return isinstance(v, int) and not isinstance(v, bool)
+        return isinstance(v, int) and is_finite_number(v)
     if field_type is float:
-        return is_number(v)
+        return isinstance(v, float) or is_finite_number(v)
     return isinstance(v, field_type)
 
 
@@ -58,10 +66,6 @@ class RunConfig(ModelConfig):
     # threads for generate only
     workers: int = 1
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name)
-                              for f in dataclasses.fields(ModelConfig)})
-
     def validate(self):
         problems = []
         # a JSON config file can set NaN or Infinity
@@ -74,7 +78,7 @@ class RunConfig(ModelConfig):
             problems.append("duration and chunk_seconds must be positive")
         # a video holds round(duration * fps) frames; a .maln header stores
         # a chunk's count as a u32
-        frames = self.duration * self.fps
+        frames = float(self.duration) * self.fps
         if not (math.isfinite(frames) and round(frames) < 2**32):
             problems.append(f"duration * fps ({frames:g}) must round to fewer "
                             f"than 2^32 frames")
@@ -106,7 +110,7 @@ class RunConfig(ModelConfig):
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         wrong = [f"{k} ({v!r})" for k, v in d.items() if not _is_a(v, types[k])]
         if wrong:
-            raise ConfigError(f"config values of the wrong type: {', '.join(wrong)}")
+            raise ConfigError(f"config values of the wrong type or size: {', '.join(wrong)}")
         return cls(**d)
 
     @classmethod
@@ -116,6 +120,6 @@ class RunConfig(ModelConfig):
                 d = json.load(f)
         except OSError as e:
             raise ConfigError(f"{path}: {e.strerror}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, and an int of too many digits
             raise ConfigError(f"{path}: invalid JSON ({e})") from e
         return cls.from_dict(d)

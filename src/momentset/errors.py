@@ -15,8 +15,8 @@ class ShapeError(MomentSetError):
 
 
 class NumericError(MomentSetError):
-    """A value outside an op's domain, a near-zero-norm row, or a
-    non-finite loss or gradient."""
+    """A value outside an op's domain, a row of near-zero or non-finite
+    norm, or a non-finite loss or gradient."""
     category = "numeric"
 
 

@@ -30,7 +30,8 @@ class GroundTruthSet:
 
 def _check_unit_rows(data: np.ndarray, what: str):
     norms = np.linalg.norm(data, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+    # written so that a NaN norm fails it too
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
         raise ContractError(f"{what}: rows not unit-norm (max dev "
                             f"{np.max(np.abs(norms - 1.0)):.2e})")
 

@@ -95,9 +95,7 @@ class MomentPrediction:
 
 
 def _init_normal(shape, fan_in, rng):
-    """Scaled normal init, or uninitialised storage when ``rng`` is None."""
-    if rng is None:
-        return np.empty(shape)
+    """Scaled normal init."""
     w = rng.standard_normal(shape)
     w /= math.sqrt(fan_in)
     return w
@@ -169,6 +167,12 @@ def _init_param(name, shape, config: ModelConfig, rng):
     return np.zeros(shape)
 
 
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """A fresh model's arrays by parameter name, drawn in param_shapes order."""
+    return {name: _init_param(name, shape, config, rng)
+            for name, shape in param_shapes(config)}
+
+
 def _linear(params, name, x: Tensor) -> Tensor:
     return tt.linear(x, params[f"{name}.w"], params[f"{name}.b"])
 
@@ -194,15 +198,15 @@ def _split_heads(x: Tensor, heads: int, order=(1, 0, 2)) -> Tensor:
 class MomentSetModel:
     """Owns all learnable tensors and the forward composition.
 
-    With ``rng=None`` the weight matrices and the queries are allocated but
-    not drawn, for a model that a checkpoint is about to fill: no random
-    numbers are made and those arrays are not written.
+    ``arrays`` maps each param_shapes name to its float64 array, fresh from
+    init_params or read from a checkpoint; the model wraps each one as it
+    is, with no copy, and ignores any other key.
     """
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+    def __init__(self, config: ModelConfig, arrays: dict[str, np.ndarray]):
         self.config = config
-        self.params = {name: Tensor(_init_param(name, shape, config, rng), requires_grad=True)
-                       for name, shape in param_shapes(config)}
+        self.params = {name: Tensor(arrays[name], requires_grad=True)
+                       for name, _ in param_shapes(config)}
         self.temporal = TemporalTable(self.params["temporal.table"])
 
     # ------------------------------------------------------------------

@@ -19,25 +19,18 @@ BLOCK = 16384
 class Adam:
     """Standard Adam with bias correction; only the learning rate is set per
     run (BETA1, BETA2 and EPS are fixed). Moment buffers are keyed by
-    parameter name so they can round-trip through checkpoints. A parameter's
-    pair is made at its first update (or handed over by a restore); until
-    then ``moments`` reports zeros. So a resume, whose moments the
-    checkpoint replaces, never allocates and writes a zero pair first.
+    parameter name so they can round-trip through checkpoints. Every
+    parameter has its zero ``m`` and ``v`` from construction; np.zeros
+    leaves their pages untouched until an update writes them, and a
+    restore (checkpoint.restore) replaces the pair with the checkpoint's.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-4):
         self.params = params
         self.lr = lr
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
-
-    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """The first and second moments of a parameter; zeros before its
-        first update."""
-        shape = self.params[name].data.shape
-        return (self.m[name] if name in self.m else np.zeros(shape),
-                self.v[name] if name in self.v else np.zeros(shape))
+        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -74,8 +67,7 @@ class Adam:
                 )
             # the update writes through flat views, and reshape would
             # silently copy a non-contiguous array
-            arrays = [p.data, *(d[name] for d in (self.m, self.v) if name in d)]
-            if not all(a.flags.c_contiguous for a in arrays):
+            if not all(a.flags.c_contiguous for a in (p.data, self.m[name], self.v[name])):
                 raise ContractError(f"parameter '{name}' or its moments are not C-contiguous")
         self.step_count = t
         b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
@@ -86,7 +78,6 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            self.m[name], self.v[name] = self.moments(name)
             data, grad, m, v = (a.reshape(-1) for a in (
                 p.data, p.grad, self.m[name], self.v[name]))
             for lo in range(0, data.size, BLOCK):

@@ -366,11 +366,13 @@ def layernorm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
 
 
 def l2_normalize(a: Tensor) -> Tensor:
-    """Scale each row (last axis) to unit Euclidean norm."""
+    """Scale each row (last axis) to unit Euclidean norm. A row whose norm
+    is near zero, or not finite (a NaN or inf entry, or squares that
+    overflow), has no unit direction and raises NumericError."""
     x = a.data
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
-    if np.any(norm < 1e-12):
-        raise NumericError("l2_normalize: row with near-zero norm")
+    if not np.all((norm >= 1e-12) & (norm < np.inf)):
+        raise NumericError("l2_normalize: row with near-zero or non-finite norm")
     y = x / norm
     out = Tensor(y)
 

@@ -16,7 +16,7 @@ from momentset import cli, datagen, evaluate, matching
 from momentset import tensor as tt
 from momentset.config import RunConfig
 from momentset.datagen import ConceptVocabulary, Narration
-from momentset.model import ModelConfig, MomentSetModel
+from momentset.model import ModelConfig, MomentSetModel, init_params
 from momentset.temporal import TemporalTable
 
 
@@ -67,9 +67,7 @@ def recognition_run(tmp_path_factory):
 
 
 def restored_model(cfg, ckpt_path):
-    model = cli.build_model(cfg)
-    opt = cli.build_optimizer(cfg, model)
-    ckpt.restore(ckpt.load_checkpoint(ckpt_path), cfg, model, opt)
+    model, _ = ckpt.restore(ckpt.load_checkpoint(ckpt_path), cfg)
     return model
 
 
@@ -106,7 +104,8 @@ def test_acceptance_2_gradient_integrity():
     start = time.monotonic()
     vocab = ConceptVocabulary.generate(6, 64, np.random.default_rng(0))
     chunk = datagen.generate_video(vocab, 3, 10.0, 6, 0.1, rng_seed=1)
-    model = MomentSetModel(ModelConfig(), np.random.default_rng(2))
+    config = ModelConfig()
+    model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
     rng = np.random.default_rng(3)
     samples = matching.sample_chunk_intervals(chunk, rng)
     _, _, assignments = matching.batch_loss(model, vocab, [chunk], [samples])
@@ -362,11 +361,7 @@ def test_acceptance_9_persistence(tmp_path):
     opt = cli.build_optimizer(cfg, model)
     c1, c2 = tmp_path / "a.malc", tmp_path / "b.malc"
     ckpt.save_checkpoint(c1, cfg, model, opt, epochs_done=0)
-    model2 = cli.build_model(cfg)
-    for p in model2.params.values():
-        p.data = p.data + 0.5
-    opt2 = cli.build_optimizer(cfg, model2)
-    ckpt.restore(ckpt.load_checkpoint(c1), cfg, model2, opt2)
+    model2, opt2 = ckpt.restore(ckpt.load_checkpoint(c1), cfg)
     ckpt.save_checkpoint(c2, cfg, model2, opt2, epochs_done=0)
     checkpoint_ok = c1.read_bytes() == c2.read_bytes()
 

@@ -93,7 +93,7 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.seed = -1
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.model_config().heads = 3
+            ModelConfig().heads = 3
 
     def test_flat_schema_and_model_fields(self):
         assert sorted(RunConfig().to_dict()) == [
@@ -103,7 +103,8 @@ class TestConfig:
             "heads", "loss_bias_init", "lr", "model_dim",
             "moments_per_video", "noise_level", "queries", "seed",
             "temporal_rows", "videos", "vocab_size", "workers"]
-        assert RunConfig().model_config() == ModelConfig()
+        assert {k: RunConfig().to_dict()[k] for k in ckpt.MODEL_FIELDS} == \
+            dataclasses.asdict(ModelConfig())
 
     def test_queries_need_only_fit_one_chunk(self):
         # 24 moments in a 600-s video, 2 in each 50-s chunk: 16 queries suffice
@@ -196,26 +197,6 @@ class TestLoadDataset:
         assert sum(len(c.narrations) for cs in videos.values() for c in cs) == 12
 
 
-def _resumable(cfg):
-    """A model and an optimizer with moments and a step count, as a resumed
-    run holds them, and copies to compare with after a failed restore."""
-    model = cli.build_model(cfg)
-    opt = cli.build_optimizer(cfg, model)
-    opt.m = {k: np.ones_like(p.data) for k, p in model.params.items()}
-    opt.v = {k: np.ones_like(p.data) for k, p in model.params.items()}
-    opt.step_count = 4
-    kept = ({k: p.data.copy() for k, p in model.params.items()}, opt.m, opt.v)
-    return model, opt, kept
-
-
-def _assert_unchanged(model, opt, kept):
-    params, m, v = kept
-    for k, p in model.params.items():
-        np.testing.assert_array_equal(p.data, params[k])
-    assert (opt.m, opt.v, opt.step_count) == (m, v, 4)
-    assert all((a == 1.0).all() for a in (*m.values(), *v.values()))
-
-
 class TestTrain:
     def test_log_rows_and_checkpoint(self, dataset, tmp_path):
         cfg, data = dataset
@@ -236,12 +217,7 @@ class TestTrain:
         opt = cli.build_optimizer(cfg, model)
         path = tmp_path / "a.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
-        data1 = ckpt.load_checkpoint(path)
-        model2 = cli.build_model(cfg)
-        for p in model2.params.values():
-            p.data = p.data + 1.0  # perturb before restoring
-        opt2 = cli.build_optimizer(cfg, model2)
-        ckpt.restore(data1, cfg, model2, opt2)
+        model2, opt2 = ckpt.restore(ckpt.load_checkpoint(path), cfg)
         path2 = tmp_path / "b.malc"
         ckpt.save_checkpoint(path2, cfg, model2, opt2, epochs_done=0)
         assert path.read_bytes() == path2.read_bytes()
@@ -257,11 +233,10 @@ class TestTrain:
         path = tmp_path / "s.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=2)
         tensors = {k: p.data for k, p in model.params.items()}
-        for k, p in model.params.items():
-            zeros = np.zeros(p.data.shape)
-            tensors[f"opt.m.{k}"] = opt.m.get(k, zeros)
-            tensors[f"opt.v.{k}"] = opt.v.get(k, zeros)
-        assert "queries" not in opt.m
+        for k in model.params:
+            tensors[f"opt.m.{k}"] = opt.m[k]
+            tensors[f"opt.v.{k}"] = opt.v[k]
+        assert not (opt.m["queries"].any() or opt.v["queries"].any())
         cfg_bytes = cfg.to_json().encode()
         expect = [struct.pack("<4sII", b"MALC", 2, len(cfg_bytes)), cfg_bytes,
                   struct.pack("<QQ", 2, 1)]
@@ -275,10 +250,8 @@ class TestTrain:
         path = tmp_path / "c.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         other = tiny_run_config(lr=5e-4)
-        target, opt, kept = _resumable(other)
         with pytest.raises(DataFileError, match=r"config does not match.*\(lr\)"):
-            ckpt.restore(ckpt.load_checkpoint(path), other, target, opt)
-        _assert_unchanged(target, opt, kept)
+            ckpt.restore(ckpt.load_checkpoint(path), other)
 
     def test_restore_model_only_checks_model_fields(self, dataset, tmp_path):
         """The eval load takes the model from the checkpoint whatever the
@@ -298,9 +271,7 @@ class TestTrain:
                               ({"queries": 5}, "queries")):
             other = tiny_run_config(**change)
             with pytest.raises(DataFileError, match=rf"config does not match.*\({field}\)"):
-                ckpt.restore(ckpt.load_checkpoint(path), other,
-                             cli.build_model(other),
-                             cli.build_optimizer(other, cli.build_model(other)))
+                ckpt.restore(ckpt.load_checkpoint(path), other)
 
     def test_restore_ignores_runtime_fields(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -308,10 +279,7 @@ class TestTrain:
         path = tmp_path / "r.malc"
         ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
         for change in ({"epochs": 9}, {"workers": 2}, {"seed": 11, "videos": 5}):
-            other = tiny_run_config(**change)
-            model2 = cli.build_model(other)
-            ckpt.restore(ckpt.load_checkpoint(path), other, model2,
-                         cli.build_optimizer(other, model2))
+            ckpt.restore(ckpt.load_checkpoint(path), tiny_run_config(**change))
 
     def test_checkpoint_with_removed_config_keys_still_loads(self, dataset, tmp_path):
         """A checkpoint whose config snapshot still has REMOVED_KEYS resumes
@@ -341,9 +309,8 @@ class TestTrain:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
-        model2 = cli.build_model(cfg)
-        opt2 = cli.build_optimizer(cfg, model2)
-        ckpt.restore(data, cfg, model2, opt2)
+        model2, opt2 = ckpt.restore(data, cfg)
+        assert opt2.step_count == data.step
         for name, p in model2.params.items():
             assert p.data is data.tensors[name]
             assert opt2.m[name] is data.tensors[f"opt.m.{name}"]
@@ -356,8 +323,7 @@ class TestTrain:
     def test_both_loaders_reject_a_file_of_another_size(self, dataset, tmp_path,
                                                        edit, match):
         """A byte after the last moment, or a last moment one byte short,
-        fails the eval load and the resume alike, and the resume changes
-        neither the model nor the optimizer."""
+        fails the eval load and the resume alike."""
         cfg, _ = dataset
         model = cli.build_model(cfg)
         path = tmp_path / "x.malc"
@@ -365,10 +331,8 @@ class TestTrain:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(DataFileError, match=match):
             ckpt.load_model(path, cfg)
-        target, opt, kept = _resumable(cfg)
         with pytest.raises(DataFileError, match=match):
-            ckpt.restore(ckpt.load_checkpoint(path), cfg, target, opt)
-        _assert_unchanged(target, opt, kept)
+            ckpt.restore(ckpt.load_checkpoint(path), cfg)
 
     def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -611,8 +575,10 @@ class TestEval:
         lambda snapshot: snapshot.update(temporal_rows=10 ** 8),
         lambda snapshot: snapshot.update(dec_layers=0),
         lambda snapshot: snapshot.update(heads=-2, head_dim=-4),
+        lambda snapshot: snapshot.update(loss_bias_init=10 ** 400),
     ], ids=["missing_field", "mistyped_field", "heads_x_head_dim", "enc_layers_1e5",
-            "temporal_rows_1e8", "fewer_layers_than_the_file", "negative_heads"])
+            "temporal_rows_1e8", "fewer_layers_than_the_file", "negative_heads",
+            "loss_bias_init_1e400"])
     def test_bad_snapshot_is_a_checkpoint_error(self, dataset, trained, tmp_path,
                                                 capsys, edit):
         cfg, data = dataset
@@ -1068,6 +1034,39 @@ class TestMainEntry:
         assert err.startswith("error: config:") and key in err, err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        *('{"%s": 1%s}' % (key, "0" * 400) for key in (
+            "duration", "lr", "chunk_seconds", "noise_level", "loss_bias_init", "fps")),
+        '{"duration": 1%s}' % ("0" * 308),
+        '{"lr": 1%s}' % ("0" * 4400),
+    ], ids=["duration", "lr", "chunk_seconds", "noise_level", "loss_bias_init", "fps",
+            "duration_times_fps", "more_digits_than_json_reads"])
+    def test_config_number_a_float_cannot_hold(self, tmp_path, capsys, text):
+        """An int too large for a float, an int duration whose product with
+        fps is, and an int of more digits than json.load converts are each
+        one config error line, before any work."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        rc = cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: config:"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_weights_that_blow_up_are_a_numeric_error(self, tmp_path, capsys):
+        """A learning rate that overflows the weights, with every gradient
+        finite, ends in the forward's refusal of a non-finite row."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"videos": 4, "epochs": 3, "lr": 1e300}))
+        argv = ["--config", str(cfg_path), "--out"]
+        assert cli.main(["generate", *argv, str(tmp_path / "d")]) == 0
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", *argv, str(tmp_path / "r"), "--data", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines()[-1].startswith("error: numeric:"), err
+
 
 def _first_chunk_file(data: Path) -> Path:
     return sorted((data / "chunks").iterdir())[0]
@@ -1240,10 +1239,8 @@ class TestFuzz:
                 flipped = bytearray(blob)
                 flipped[i] ^= 1 << bit
                 path.write_bytes(flipped)
-                target = MomentSetModel(cfg.model_config(), rng=None)
                 try:
-                    ckpt.restore(ckpt.load_checkpoint(path), cfg, target,
-                                 cli.build_optimizer(cfg, target))
+                    ckpt.restore(ckpt.load_checkpoint(path), cfg)
                 except MomentSetError:
                     typed += 1
                 try:  # the eval load

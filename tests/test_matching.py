@@ -11,7 +11,7 @@ from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, MomentSample, generate_video
 from momentset.errors import CapacityError, ContractError, NumericError
 from momentset.matching import GroundTruthSet
-from momentset.model import ModelConfig, MomentPrediction, MomentSetModel
+from momentset.model import ModelConfig, MomentPrediction, MomentSetModel, init_params
 from momentset.tensor import Tensor
 
 
@@ -67,6 +67,13 @@ class TestSimilarities:
         pred.visual.data[0] *= 1.5
         with pytest.raises(ContractError, match="pred.visual"):
             matching.similarity_matrices(pred, random_gt(rng))
+
+    def test_nan_row_rejected(self):
+        rng = np.random.default_rng(1)
+        gt = random_gt(rng)
+        gt.te_start.data[1] = np.nan
+        with pytest.raises(ContractError, match="gt.te_start"):
+            matching.similarity_matrices(random_pred(rng), gt)
 
 
 class TestCost:
@@ -194,7 +201,7 @@ def setup():
     config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
                          enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                          queries=4, temporal_rows=8, ffn_hidden=16)
-    model = MomentSetModel(config, np.random.default_rng(2))
+    model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
     samples = matching.sample_chunk_intervals(
         chunk, np.random.default_rng(3))
     return model, vocab, chunk, samples
@@ -228,7 +235,7 @@ class TestTrainStep:
                              enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                              queries=4, temporal_rows=8, ffn_hidden=16,
                              loss_bias_init=0.0)
-        model = MomentSetModel(config, np.random.default_rng(2))
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
         opt = Adam(model.params, lr=1e-3)
         samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
         first = matching.train_step(model, vocab, [chunk], samples, opt).loss
@@ -244,7 +251,7 @@ class TestTrainStep:
         config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
                              enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                              queries=4, temporal_rows=8, ffn_hidden=16)
-        model = MomentSetModel(config, np.random.default_rng(2))
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
 
         # per-chunk reference: samples drawn in chunk order from the same rng
         rng = np.random.default_rng(7)
@@ -287,7 +294,7 @@ class TestTrainStep:
         config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
                              enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                              queries=4, temporal_rows=8, ffn_hidden=16)
-        model = MomentSetModel(config, np.random.default_rng(2))
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
         samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
         with pytest.raises(NumericError):
             matching.train_step(model, vocab, [chunk], samples, NanGradAdam(model.params))
@@ -323,7 +330,7 @@ def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses
     config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
                          enc_layers=1, dec_layers=1, heads=2, head_dim=4,
                          queries=4, temporal_rows=8, ffn_hidden=16)
-    model = MomentSetModel(config, np.random.default_rng(2))
+    model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
 
     rng = np.random.default_rng(7)
     total = None
@@ -375,7 +382,8 @@ def test_tape_does_not_grow_with_the_batch():
     for batch in (8, 16):
         chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
                   for s in range(batch)]
-        model = MomentSetModel(ModelConfig(), np.random.default_rng(1))
+        config = ModelConfig()
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(1)))
         opt = RecordGrads(model.params)
         rng = np.random.default_rng(2)
         samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]

@@ -6,7 +6,7 @@ import pytest
 from helpers import finite_diff_check
 from momentset import tensor as tt
 from momentset.errors import ConfigError, ShapeError
-from momentset.model import ModelConfig, MomentSetModel, _init_normal
+from momentset.model import ModelConfig, MomentSetModel, _init_normal, init_params
 from momentset.tensor import Tensor
 
 
@@ -19,7 +19,7 @@ def tiny_config(**kw):
 
 
 def make(config, seed=0):
-    return MomentSetModel(config, np.random.default_rng(seed))
+    return MomentSetModel(config, init_params(config, np.random.default_rng(seed)))
 
 
 @pytest.fixture(autouse=True)
@@ -301,14 +301,6 @@ class TestForward:
         got = _init_normal(shape, fan_in, np.random.default_rng(21))
         assert got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
-
-    def test_model_for_restore_has_the_seeded_layout(self):
-        cfg = tiny_config()
-        seeded, empty = make(cfg), MomentSetModel(cfg, rng=None)
-        assert list(empty.params) == list(seeded.params)
-        for name, p in empty.params.items():
-            assert p.data.shape == seeded.params[name].data.shape
-            assert p.requires_grad
 
     def test_end_to_end_gradient(self):
         model = make(tiny_config(enc_layers=1, dec_layers=1))

@@ -149,17 +149,21 @@ def test_non_contiguous_param_is_refused_before_any_write():
         opt.step()
     assert opt.step_count == 0
     np.testing.assert_array_equal(a.data, np.ones(4))
-    assert opt.m == {} and opt.v == {}
+    assert not any(m.any() for m in (*opt.m.values(), *opt.v.values()))
 
 
-def test_moments_are_made_at_first_update():
-    p = Tensor(np.ones(3), requires_grad=True)
-    q = Tensor(np.ones(2), requires_grad=True)
-    opt = Adam({"p": p, "q": q}, lr=0.1)
-    assert opt.m == {}
-    for m in opt.moments("q"):
-        np.testing.assert_array_equal(m, np.zeros(2))
-    p.grad = np.ones(3)
-    opt.step()
-    assert set(opt.m) == set(opt.v) == {"p"}
-    assert opt.moments("p")[0] is opt.m["p"]
+def test_fresh_moments_are_zero_and_unshared():
+    params = {"p": Tensor(np.ones(3), requires_grad=True),
+              "q": Tensor(np.ones((2, 4)), requires_grad=True),
+              "s": Tensor(np.array(2.0), requires_grad=True)}
+    opt = Adam(params, lr=0.1)
+    moments = []
+    for name, p in params.items():
+        for m in (opt.m[name], opt.v[name]):
+            assert m.shape == p.data.shape and m.dtype == np.float64
+            np.testing.assert_array_equal(m, np.zeros(p.data.shape))
+            moments.append(m)
+    arrays = moments + [p.data for p in params.values()]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)

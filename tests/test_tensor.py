@@ -116,6 +116,14 @@ class TestL2Normalize:
         with pytest.raises(NumericError):
             tt.l2_normalize(Tensor(np.zeros((1, 4))))
 
+    @pytest.mark.parametrize("row", [[np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200]],
+                             ids=["inf", "nan", "squares_overflow"])
+    def test_non_finite_norm(self, row):
+        x = np.array([[3.0, 4.0], row])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="non-finite norm"):
+                tt.l2_normalize(Tensor(x))
+
 
 class TestSoftmaxLayernorm:
     def test_softmax_uniform(self):
