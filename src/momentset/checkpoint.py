@@ -182,8 +182,8 @@ def restore(data: CheckpointData, config: RunConfig) -> tuple[MomentSetModel, Ad
         raise DataFileError(
             f"checkpoint config does not match the run config ({', '.join(differ)})")
     model = MomentSetModel(config, data.tensors)
-    optimizer = Adam(model.params, lr=config.lr)
-    optimizer.m = {k: data.tensors[f"opt.m.{k}"] for k in model.params}
-    optimizer.v = {k: data.tensors[f"opt.v.{k}"] for k in model.params}
-    optimizer.step_count = data.step
+    optimizer = Adam(model.params, lr=config.lr,
+                     m={k: data.tensors[f"opt.m.{k}"] for k in model.params},
+                     v={k: data.tensors[f"opt.v.{k}"] for k in model.params},
+                     step_count=data.step)
     return model, optimizer

@@ -8,6 +8,7 @@ import itertools
 import json
 import logging
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
 from . import tensor as tt
 from .config import RunConfig, is_finite_number, is_number
-from .errors import ConfigError, DataFileError, MomentSetError
+from .errors import ConfigError, DataFileError, MomentSetError, describe, listing
 from .model import MomentPrediction, MomentSetModel, init_params
 from .optim import Adam
 from .temporal import TemporalTable
@@ -47,14 +48,44 @@ def _make_out_dir(out_dir: Path) -> None:
         raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
 
 
+def _video_id(v: int) -> str:
+    return f"video{v:04d}"
+
+
+def _store_video(record: datagen.VideoRecord, chunk_seconds: float, root: Path) -> dict:
+    """Write a video's chunks under ``root``; returns its manifest entry."""
+    paths = []
+    for k, chunk in enumerate(datagen.chunk_video(record, chunk_seconds)):
+        rel = f"chunks/{record.video_id}_{k:03d}.maln"
+        datagen.store(chunk, root / rel)
+        paths.append(rel)
+    return {
+        "duration": record.duration,
+        "fps": record.fps,
+        "chunk_seconds": chunk_seconds,
+        "chunks": paths,
+        "labels": sorted({n.concept_id for n in record.narrations}),
+        "narrations": [{"concept_id": n.concept_id, "t": n.t, "a": n.a, "b": n.b}
+                       for n in record.narrations],
+    }
+
+
 def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
-    """Write a dataset into ``out_dir``. Without ``force`` a non-empty
-    ``out_dir`` is refused first; then the vocabulary and every video are
-    made, cut and checked against the config's model
-    (ModelConfig.check_input), all before any directory or file is made."""
+    """Write a dataset into ``out_dir``, one video at a time (``workers``
+    at a time on a thread pool).
+
+    Every refusal comes before any file exists: a non-empty ``out_dir``
+    without ``force``, a vocabulary or moments that do not fit, and chunks
+    (datagen.chunk_bounds) that fail the config's model
+    (ModelConfig.check_input). Then ``out_dir`` is made, and the
+    vocabulary, each video's chunks as they are made, and the manifest
+    are written straight into it. On any error ``out_dir`` is removed if
+    this call made it.
+    """
     out_dir = Path(out_dir)
     try:
-        if not force and out_dir.exists() and any(out_dir.iterdir()):
+        fresh = not out_dir.exists()
+        if not force and not fresh and any(out_dir.iterdir()):
             raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
     except OSError as e:
         raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
@@ -62,46 +93,37 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     rng = np.random.default_rng([config.seed, 0])
     vocab = datagen.ConceptVocabulary.generate(
         config.vocab_size, config.feature_dim, rng)
+    datagen.check_moments_fit(config.moments_per_video, config.duration, config.fps)
+    # every video is cut at the same bounds
+    bounds = datagen.chunk_bounds(config.duration, config.fps, config.chunk_seconds)
+    for k, frames in enumerate(np.diff(bounds)):
+        config.check_input((frames, config.feature_dim), f"chunk {_video_id(0)}_c{k}")
 
     def make(v: int) -> datagen.VideoRecord:
         return datagen.generate_video(
             vocab, config.moments_per_video, config.duration, config.fps,
-            config.noise_level, rng_seed=[config.seed, 1, v],
-            video_id=f"video{v:04d}")
-
-    indices = range(config.videos)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as ex:
-            records = list(ex.map(make, indices))
-    else:
-        records = [make(v) for v in indices]
-    chunked = [datagen.chunk_video(record, config.chunk_seconds) for record in records]
-    for chunk in itertools.chain.from_iterable(chunked):
-        config.check_input(chunk.features.shape, f"chunk {chunk.video_id}")
+            config.noise_level, rng_seed=[config.seed, 1, v], video_id=_video_id(v))
 
     _make_out_dir(out_dir / "chunks")
-    vocab.save(out_dir / VOCAB_NAME)
-    manifest = {"version": 1, "vocab": VOCAB_NAME,
-                "config": config.to_dict(), "videos": {}}
-    for record, chunks in zip(records, chunked):
-        paths = []
-        for k, chunk in enumerate(chunks):
-            rel = f"chunks/{record.video_id}_{k:03d}.maln"
-            datagen.store(chunk, out_dir / rel)
-            paths.append(rel)
-        manifest["videos"][record.video_id] = {
-            "duration": record.duration,
-            "fps": record.fps,
-            "chunk_seconds": config.chunk_seconds,
-            "chunks": paths,
-            "labels": sorted({n.concept_id for n in record.narrations}),
-            "narrations": [
-                {"concept_id": n.concept_id, "t": n.t, "a": n.a, "b": n.b}
-                for n in record.narrations],
-        }
-    with open(out_dir / MANIFEST_NAME, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        vocab.save(out_dir / VOCAB_NAME)
+        manifest = {"version": 1, "vocab": VOCAB_NAME,
+                    "config": config.to_dict(), "videos": {}}
+        # at most ``window`` videos are held at once; no thread starts at 1
+        window = max(config.workers, 1)
+        with ThreadPoolExecutor(max_workers=window) as pool:
+            run = pool.map if window > 1 else map
+            for v0 in range(0, config.videos, window):
+                for record in run(make, range(v0, min(v0 + window, config.videos))):
+                    manifest["videos"][record.video_id] = _store_video(
+                        record, config.chunk_seconds, out_dir)
+        with open(out_dir / MANIFEST_NAME, "w") as f:
+            json.dump(manifest, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except BaseException:
+        if fresh:
+            shutil.rmtree(out_dir, ignore_errors=True)
+        raise
     return out_dir / MANIFEST_NAME
 
 
@@ -131,34 +153,37 @@ def _check_manifest(manifest, path: Path):
             f"{path}: a manifest needs a 'vocab' file name and a 'videos' object")
     for vid, meta in manifest["videos"].items():
         if not isinstance(meta, dict):
-            raise DataFileError(f"{path}: video '{vid}' is not an object")
+            raise DataFileError(f"{path}: video {describe(vid)} is not an object")
         bad = [k for k, ok in _VIDEO_FIELDS.items() if k not in meta or not ok(meta[k])]
         if bad:
             raise DataFileError(
-                f"{path}: video '{vid}' has missing or mistyped {', '.join(bad)}")
+                f"{path}: video {describe(vid)} has missing or mistyped {', '.join(bad)}")
         # compared as a float, so a huge ratio is refused and never overflows
         if len(meta["chunks"]) != np.ceil(meta["duration"] / meta["chunk_seconds"]):
-            raise DataFileError(f"{path}: video '{vid}' lists {len(meta['chunks'])} "
+            raise DataFileError(f"{path}: video {describe(vid)} lists {len(meta['chunks'])} "
                                 f"chunks, not ceil(duration / chunk_seconds)")
         times = [n["t"] for n in meta["narrations"]]
         if not (all(is_finite_number(n[k]) for n in meta["narrations"] for k in "tab")
                 and all(0.0 <= t <= meta["duration"] for t in times)
                 and all(s <= t for s, t in zip(times, times[1:]))):
             raise DataFileError(
-                f"{path}: video '{vid}' narration times must be finite, with each "
-                f"t in [0, {meta['duration']}] and in non-decreasing order")
+                f"{path}: video {describe(vid)} narration times must be finite, with each "
+                f"t in [0, {describe(meta['duration'])}] and in non-decreasing order")
 
 
 def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
-    """Returns (manifest, vocab, {video_id: [chunk records]}) for
+    """Returns (manifest, vocab, {video_id: [datagen.StoredChunk]}) for
     ``video_ids`` in that order, or for every manifest video.
 
-    The whole manifest is checked, but only the selected videos' chunk files
-    are read; each chunk takes its narrations from its video's manifest
-    entry (datagen.chunk_narrations). Raises ConfigError for a video id the
-    manifest lacks, and DataFileError naming the file for a manifest
-    without the expected keys, types and narration times, a concept id
-    outside the vocab, or a chunk whose feature width is not the vocab's."""
+    The whole manifest is checked, and each selected chunk file's header
+    and size, but no frame is read: a chunk's ``features`` reads its file
+    when it is used. Each chunk takes its narrations from its video's
+    manifest entry (datagen.chunk_narrations). Raises ConfigError for a
+    video id the manifest lacks, and DataFileError naming the file for a
+    manifest without the expected keys, types and narration times, a
+    concept id outside the vocab, or a chunk whose feature width is not
+    the vocab's; a chunk file with a bad header or size raises what
+    datagen.read_shape raises."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     try:
@@ -180,9 +205,10 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
         bad = [c for c in meta["labels"] + [n["concept_id"] for n in meta["narrations"]]
                if isinstance(c, bool) or not (isinstance(c, int) and 0 <= c < vocab.size)]
         if bad:
-            raise DataFileError(f"{manifest_path}: concept ids {bad} outside "
-                                f"the vocabulary of {vocab.size}")
-    videos: dict[str, list[datagen.VideoRecord]] = {}
+            raise DataFileError(f"{manifest_path}: concept ids "
+                                f"{listing([describe(c) for c in bad])} outside the "
+                                f"vocabulary of {vocab.size}")
+    videos: dict[str, list[datagen.StoredChunk]] = {}
     for vid in video_ids:
         meta = manifest["videos"][vid]
         cs = meta["chunk_seconds"]
@@ -191,14 +217,13 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
              for n in meta["narrations"]], meta["duration"], cs, len(meta["chunks"]))
         chunks = []
         for k, rel in enumerate(meta["chunks"]):
-            dur = min(cs, meta["duration"] - k * cs)
-            chunk = datagen.load(data_dir / rel, f"{vid}_c{k}", dur, meta["fps"])
-            if chunk.features.shape[1] != vocab.dim:
-                raise DataFileError(
-                    f"{data_dir / rel}: feature width {chunk.features.shape[1]}, "
-                    f"vocabulary width {vocab.dim}")
-            chunk.narrations = narrations[k]
-            chunks.append(chunk)
+            shape = datagen.read_shape(data_dir / rel)
+            if shape[1] != vocab.dim:
+                raise DataFileError(f"{data_dir / rel}: feature width {shape[1]}, "
+                                    f"vocabulary width {vocab.dim}")
+            chunks.append(datagen.StoredChunk(
+                data_dir / rel, f"{vid}_c{k}", min(cs, meta["duration"] - k * cs),
+                meta["fps"], shape, narrations[k]))
         videos[vid] = chunks
     return manifest, vocab, videos
 
@@ -215,24 +240,48 @@ def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
     return Adam(model.params, lr=config.lr)
 
 
-def cut_train_log(path: Path, steps: int):
-    """Keep the header and the first ``steps`` rows of a train log, so a
-    resume drops the rows that a stopped run logged after its last save.
+def _row_step(line: bytes, path: Path) -> int:
+    """The step that a train log row opens with."""
+    try:
+        return int(line.split(b",", 1)[0])
+    except ValueError as e:
+        raise DataFileError(f"{path}: a row that opens with no step number") from e
+
+
+def cut_train_log(path: Path, step: int):
+    """Keep the header and the rows of the steps up to ``step``, the
+    checkpoint's, so a resume drops the rows that a stopped run logged
+    after its last save. A log whose rows all come after ``step`` was
+    begun by a resume from that checkpoint or a later one, so only its
+    header is kept. Otherwise raises DataFileError naming the log unless
+    its complete rows reach ``step``: a resume would append after a gap.
     The cut copy is written beside the log and renamed into place."""
+    kept = []  # the header, then the rows
+    later = False  # whether a complete row after ``step`` ended the cut
     with open(path, "rb") as f:
-        lines = list(itertools.islice(f, steps + 1))
+        for line in f:
+            # a row cut off mid-write has no newline
+            if kept and (not line.endswith(b"\n") or _row_step(line, path) > step):
+                later = line.endswith(b"\n")
+                break
+            kept.append(line)
+    # with no row kept, a complete row after ``step`` must have ended the cut
+    if _row_step(kept[-1], path) != step if len(kept) > 1 else not later:
+        raise DataFileError(f"{path}: its complete rows stop short of the "
+                            f"checkpoint's step {step}")
     with ckpt.replace_file(path) as f:
-        f.writelines(lines)
+        f.writelines(kept)
 
 
 def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
               resume_from: Path | None = None,
               video_ids: list[str] | None = None) -> Path:
     """Train on the selected videos' chunks that have narrations; each
-    batch's interval samples are drawn here, and train_step runs them.
-    Every chunk trained is checked against the model
-    (ModelConfig.check_input) before ``out_dir`` is made; a chunk without
-    narrations is not forwarded, so it is not checked."""
+    batch's interval samples are drawn here, and train_step runs them,
+    reading the batch's frames. Every chunk trained is checked against
+    the model (ModelConfig.check_input, on its header shape) before
+    ``out_dir`` is made; a chunk without narrations is not forwarded, so
+    it is not checked. The log is flushed before each checkpoint save."""
     out_dir = Path(out_dir)
     _, vocab, videos = load_dataset(data_dir, video_ids)
     chunks = [c for cs in videos.values() for c in cs if c.narrations]
@@ -257,7 +306,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
             raise ConfigError(f"nothing to train: {resume_from} already holds "
                               f"{start_epoch} of the run's {config.epochs} epochs")
     for c in chunks:
-        config.check_input(c.features.shape, f"chunk {c.video_id}")
+        config.check_input(c.shape, f"chunk {c.video_id}")
     # --out is made only once the dataset and the checkpoint are accepted
     _make_out_dir(out_dir)
     log_path = out_dir / TRAIN_LOG_NAME
@@ -291,6 +340,8 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
                                  f"{stats.unmatched_sim_mean:.10g}",
                                  f"{stats.temperature:.10g}",
                                  f"{stats.bias:.10g}"])
+            # the log on disk covers every step that the checkpoint holds
+            f.flush()
             ckpt.save_checkpoint(ckpt_path, config, model, optimizer, epoch + 1)
     return ckpt_path
 
@@ -431,7 +482,8 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     videos have no label (recognition) or no narration (nlq) to score.
     ``out_dir`` is made only once the dataset and the checkpoint are read
     and every chunk of the selected videos passes the checkpoint model's
-    ModelConfig.check_input.
+    ModelConfig.check_input, on its header shape; a video's frames are
+    read when its forward runs (_video_predictions).
     """
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")
@@ -442,7 +494,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
         raise ConfigError(f"nothing to evaluate: the selected videos have no {key}")
     config, model = ckpt.load_model(checkpoint_path, config)
     for c in itertools.chain.from_iterable(videos.values()):
-        config.check_input(c.features.shape, f"chunk {c.video_id}")
+        config.check_input(c.shape, f"chunk {c.video_id}")
     _make_out_dir(out_dir)
     if task == "recognition":
         report = eval_recognition(config, model, vocab, manifest, videos)

@@ -8,7 +8,7 @@ import sys
 import typing
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, describe, listing
 from .model import ModelConfig
 
 
@@ -105,12 +105,12 @@ class RunConfig(ModelConfig):
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         types = typing.get_type_hints(cls)
-        unknown = set(d) - set(types)
+        unknown = sorted(set(d) - set(types))
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        wrong = [f"{k} ({v!r})" for k, v in d.items() if not _is_a(v, types[k])]
+            raise ConfigError(f"unknown config keys: {listing([describe(k) for k in unknown])}")
+        wrong = [f"{k} ({describe(v)})" for k, v in d.items() if not _is_a(v, types[k])]
         if wrong:
-            raise ConfigError(f"config values of the wrong type or size: {', '.join(wrong)}")
+            raise ConfigError(f"config values of the wrong type or size: {listing(wrong)}")
         return cls(**d)
 
     @classmethod

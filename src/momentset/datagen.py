@@ -4,15 +4,18 @@ chunking, and the binary feature-store format.
 Frame features are unit-norm rows in R^C. Frames inside a planted moment
 point toward that moment's concept vector (plus noise); background frames
 are random directions. Features are held as float32, the on-disk dtype,
-from generation on, so the format round-trips bit-exactly and a loaded
-chunk takes the memory its file does; the model's stacked forward makes
-the one float64 copy.
+from generation on, so the format round-trips bit-exactly; the model's
+stacked forward makes the one float64 copy. A dataset's chunks are
+StoredChunk records, which hold a chunk file's header shape and read its
+frames only when they are used.
 """
 from __future__ import annotations
 
+import os
 import struct
 import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -106,6 +109,22 @@ class ConceptVocabulary:
         return cls(vectors)
 
 
+def frame_count(duration: float, fps: int) -> int:
+    """The frames of a video of ``duration`` seconds at ``fps``."""
+    return int(round(duration * fps))
+
+
+def check_moments_fit(num_moments: int, duration: float, fps: int):
+    """Raise GenerationError unless ``num_moments`` slots of the timeline
+    hold at least two frames each."""
+    if num_moments < 1:
+        raise GenerationError("need at least one moment")
+    if duration / num_moments * fps < 2:
+        raise GenerationError(
+            f"{num_moments} moments cannot fit in {duration}s at {fps} fps"
+        )
+
+
 def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
                    fps: int, noise_level: float, rng_seed: int,
                    video_id: str = "video") -> VideoRecord:
@@ -114,13 +133,8 @@ def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
     One moment per equal slot of the timeline; the narration timestamp is
     the interval midpoint. Deterministic per seed.
     """
-    if num_moments < 1:
-        raise GenerationError("need at least one moment")
+    check_moments_fit(num_moments, duration, fps)
     slot = duration / num_moments
-    if slot * fps < 2:
-        raise GenerationError(
-            f"{num_moments} moments cannot fit in {duration}s at {fps} fps"
-        )
     rng = np.random.default_rng(rng_seed)
     if num_moments <= vocab.size:
         concepts = rng.permutation(vocab.size)[:num_moments]
@@ -134,7 +148,7 @@ def generate_video(vocab: ConceptVocabulary, num_moments: int, duration: float,
         b = a + length
         narrations.append(Narration(int(concepts[j]), (a + b) / 2.0, a, b))
 
-    T = int(round(duration * fps))
+    T = frame_count(duration, fps)
     C = vocab.dim
     feats = rng.standard_normal((T, C))
     times = (np.arange(T) + 0.5) / fps
@@ -180,23 +194,30 @@ def chunk_narrations(narrations: list[Narration], duration: float,
     return chunks
 
 
-def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
-    """Split into consecutive non-overlapping chunks; last one may be short.
-    Narrations are cut as chunk_narrations cuts them. Raises GenerationError
-    when there are more chunks than frames."""
+def chunk_bounds(duration: float, fps: int, chunk_seconds: float) -> np.ndarray:
+    """The frame bounds of a video's consecutive chunks, ``n_chunks + 1``
+    of them: chunk k holds frames bounds[k] <= i < bounds[k + 1], and the
+    last one may be short. Raises GenerationError when there are more
+    chunks than frames."""
     if chunk_seconds <= 0:
         raise GenerationError("chunk_seconds must be positive")
-    count = record.duration / chunk_seconds
+    frames = frame_count(duration, fps)
+    count = duration / chunk_seconds
     # the chunks' frames add up to the video's, so more chunks than frames
     # leaves one empty; refused before a count that large is allocated
-    if not count <= record.num_frames:
+    if not count <= frames:
         raise GenerationError(
-            f"{record.duration:g} s in {chunk_seconds:g}-s chunks is more chunks "
-            f"than the video's {record.num_frames} frames")
-    n_chunks = int(np.ceil(count))
-    # chunk k holds frames bounds[k] <= i < bounds[k + 1]
-    bounds = np.minimum(np.round(np.arange(n_chunks + 1) * chunk_seconds * record.fps),
-                        record.num_frames).astype(np.int64)
+            f"{duration:g} s in {chunk_seconds:g}-s chunks is more chunks "
+            f"than the video's {frames} frames")
+    return np.minimum(np.round(np.arange(int(np.ceil(count)) + 1) * chunk_seconds * fps),
+                      frames).astype(np.int64)
+
+
+def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
+    """Split into the chunks that chunk_bounds cuts; narrations are cut as
+    chunk_narrations cuts them."""
+    bounds = chunk_bounds(record.duration, record.fps, chunk_seconds)
+    n_chunks = len(bounds) - 1
     narrations = chunk_narrations(record.narrations, record.duration,
                                   chunk_seconds, n_chunks)
     return [VideoRecord(f"{record.video_id}_c{k}",
@@ -221,27 +242,72 @@ def store(record: VideoRecord, path):
         f.write(np.ascontiguousarray(record.features, dtype="<f4").data)
 
 
-def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    """Read one chunk's frames, as a record with an empty narration list. Raises
-    FormatError naming the file for a bad header or a short payload, and
-    DataFileError for an unreadable file or trailing bytes."""
+def _open(path):
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
+        return open(path, "rb")
     except OSError as e:
         raise DataFileError(f"{path}: unreadable chunk ({e.strerror})") from e
-    if len(blob) < 16:
+
+
+def _read_header(f, path) -> tuple[int, int]:
+    """The (T, C) of an open chunk file, after checking its magic, its
+    version and that the file is exactly as long as they say."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(16)
+    if len(head) < 16:
         raise FormatError(f"{path}: shorter than the 16-byte header")
-    magic, version, T, C = struct.unpack_from("<4sIII", blob, 0)
+    magic, version, T, C = struct.unpack("<4sIII", head)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"{path}: version {version}, expected {VERSION}")
     end = 16 + T * C * 4
-    if len(blob) < end:
+    if size < end:
         raise FormatError(f"{path}: truncated feature payload")
-    if len(blob) != end:
+    if size != end:
         raise DataFileError(
-            f"{path}: {len(blob) - end} trailing bytes after the feature payload")
-    feats = np.frombuffer(blob, dtype="<f4", count=T * C, offset=16).reshape(T, C)
+            f"{path}: {size - end} trailing bytes after the feature payload")
+    return T, C
+
+
+def read_shape(path) -> tuple[int, int]:
+    """A chunk file's (T, C), from its header and its size; no frame is
+    read. Raises what ``load`` raises for a bad header or size."""
+    with _open(path) as f:
+        return _read_header(f, path)
+
+
+def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
+    """Read one chunk's frames, as a record with an empty narration list. Raises
+    FormatError naming the file for a bad header or a short payload, and
+    DataFileError for an unreadable file or trailing bytes."""
+    with _open(path) as f:
+        T, C = _read_header(f, path)
+        feats = np.empty((T, C), dtype="<f4")
+        # the file can shrink between its fstat and this read
+        if f.readinto(feats) != feats.nbytes:
+            raise FormatError(f"{path}: truncated feature payload")
     return VideoRecord(video_id, duration, fps, feats)
+
+
+@dataclass
+class StoredChunk:
+    """A dataset chunk whose frames stay on disk: the record that
+    cli.load_dataset makes from a chunk file's header. ``features`` reads
+    the file through ``load`` at every access and keeps nothing, so the
+    caller holds the frames only as long as it uses them."""
+    path: Path
+    video_id: str
+    duration: float
+    fps: int
+    shape: tuple[int, int]        # (T, C), from the file's header
+    narrations: list[Narration]
+
+    @property
+    def features(self) -> np.ndarray:
+        feats = load(self.path, self.video_id, self.duration, self.fps).features
+        if feats.shape != self.shape:
+            raise DataFileError(f"{self.path}: holds {feats.shape[0]} x {feats.shape[1]} "
+                                f"frames, not the {self.shape[0]} x {self.shape[1]} "
+                                f"it held when the dataset was loaded")
+        return feats

@@ -20,17 +20,20 @@ class Adam:
     """Standard Adam with bias correction; only the learning rate is set per
     run (BETA1, BETA2 and EPS are fixed). Moment buffers are keyed by
     parameter name so they can round-trip through checkpoints. Every
-    parameter has its zero ``m`` and ``v`` from construction; np.zeros
-    leaves their pages untouched until an update writes them, and a
-    restore (checkpoint.restore) replaces the pair with the checkpoint's.
+    parameter has its ``m`` and ``v`` from construction: those given, as a
+    resume passes a checkpoint's (checkpoint.restore) with its step count,
+    or zeros, whose pages np.zeros leaves untouched until an update writes
+    them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 5e-4):
+    def __init__(self, params: dict[str, Tensor], lr: float = 5e-4,
+                 m: dict[str, np.ndarray] | None = None,
+                 v: dict[str, np.ndarray] | None = None, step_count: int = 0):
         self.params = params
         self.lr = lr
-        self.step_count = 0
-        self.m = {k: np.zeros(p.data.shape) for k, p in params.items()}
-        self.v = {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.step_count = step_count
+        self.m = m if m is not None else {k: np.zeros(p.data.shape) for k, p in params.items()}
+        self.v = v if v is not None else {k: np.zeros(p.data.shape) for k, p in params.items()}
 
     def zero_grad(self):
         for p in self.params.values():

@@ -7,6 +7,8 @@ import resource
 import shutil
 import struct
 import time
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,8 @@ from momentset import checkpoint as ckpt
 from momentset import cli, datagen, matching
 from momentset import tensor as tt
 from momentset.config import RunConfig
-from momentset.errors import ConfigError, DataFileError, MomentSetError, ShapeError
+from momentset.errors import (ConfigError, DataFileError, FormatError, MomentSetError,
+                              ShapeError, describe, listing)
 from momentset.model import ModelConfig, MomentSetModel
 
 
@@ -66,6 +69,21 @@ class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_run_config()
         assert RunConfig.from_dict(json.loads(cfg.to_json())) == cfg
+
+    def test_describe_names_long_values_by_size(self):
+        """Digits are counted exactly, also for an int that str() refuses."""
+        assert [describe(v) for v in (10**400, 10**400 - 1, -(10**5000), 10**19)] == [
+            "int of 401 digits", "int of 400 digits", "int of 5001 digits",
+            "10000000000000000000"]
+        assert [describe(v) for v in ("x" * 41, "x" * 40, 1.5, None)] == [
+            "str of 41 characters", repr("x" * 40), "1.5", "None"]
+        # a list or dict of a few plain values is shown by them
+        assert [describe(v) for v in ([6], [1, 2], {}, {"a": None}, list(range(4)),
+                                      [10**400], [[1]], ["x" * 40], {"k" * 40: 1})] == [
+            "[6]", "[1, 2]", "{}", "{'a': None}", "list of 4 items", "list of 1 item",
+            "list of 1 item", "list of 1 item", "dict of 1 item"]
+        assert listing(["a", "b", "c", "d", "e"]) == "a, b, c and 2 more"
+        assert listing(["a"]) == "a"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -296,6 +314,72 @@ class TestTrain:
             cli.cmd_eval(longer, data, run, "nlq", checkpoint_path=run / cli.CHECKPOINT_NAME)
         for f in (cli.TRAIN_LOG_NAME, "nlq_outcomes.csv", "report_nlq.json"):
             assert (tmp_path / "old" / f).read_bytes() == (tmp_path / "new" / f).read_bytes()
+
+    def test_restore_allocates_no_moments(self, tmp_path):
+        """Adam is made with the checkpoint's moments, so restoring a
+        default-width run allocates far less than one parameter set."""
+        cfg = RunConfig()
+        model = cli.build_model(cfg)
+        path = tmp_path / "d.malc"
+        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 1)
+        data = ckpt.load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            ckpt.restore(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(p.data.nbytes for p in model.params.values())
+
+    @pytest.mark.parametrize("cut", [
+        lambda log: b"", lambda log: log[:log.index(b"\n") + 1],
+        lambda log: log[:-1]], ids=["empty", "header_only", "last_row_partial"])
+    def test_resume_refuses_a_log_short_of_the_checkpoint(self, dataset, tmp_path,
+                                                          capsys, cut):
+        """A log whose complete rows stop before the checkpoint's step is
+        one io error naming the log, and is left as it was."""
+        cfg, data = dataset
+        run = tmp_path / "run"
+        cli.cmd_train(cfg, data, run)
+        log = run / cli.TRAIN_LOG_NAME
+        log.write_bytes(cut(log.read_bytes()))
+        before = log.read_bytes()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(tiny_run_config(epochs=3).to_json())
+        rc = cli.main(["train", "--config", str(cfg_path), "--data", str(data),
+                       "--out", str(run), "--checkpoint", str(run / cli.CHECKPOINT_NAME)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: io:") and str(log) in err, err
+        assert log.read_bytes() == before
+
+    def test_resume_redone_from_the_same_checkpoint(self, dataset, tmp_path):
+        """A resume into a new --out, redone there from the same checkpoint,
+        keeps only the header of the log that the first one wrote, whose
+        rows all come after the checkpoint's step: it ends with the files
+        of the first."""
+        cfg, data = dataset
+        a, b = tmp_path / "a", tmp_path / "b"
+        cli.cmd_train(tiny_run_config(epochs=1), data, a)
+        cli.cmd_train(cfg, data, b, resume_from=a / cli.CHECKPOINT_NAME)
+        before = tree_digest(b)
+        cli.cmd_train(cfg, data, b, resume_from=a / cli.CHECKPOINT_NAME)
+        assert tree_digest(b) == before
+
+    def test_resume_into_a_log_that_a_resume_began(self, dataset, tmp_path):
+        """A run resumed into a new --out logs from the checkpoint's step on;
+        resumed again there, its log is cut by step number, not row count."""
+        cfg, data = dataset
+        cli.cmd_train(tiny_run_config(epochs=1), data, tmp_path / "a")
+        b = tmp_path / "b"
+        cli.cmd_train(cfg, data, b, resume_from=tmp_path / "a" / cli.CHECKPOINT_NAME)
+        cli.cmd_train(tiny_run_config(epochs=3), data, b, resume_from=b / cli.CHECKPOINT_NAME)
+        with open(b / cli.TRAIN_LOG_NAME) as f:
+            steps = [int(row["step"]) for row in csv.DictReader(f)]
+        first = ckpt.load_checkpoint(tmp_path / "a" / cli.CHECKPOINT_NAME).step
+        last = ckpt.load_checkpoint(b / cli.CHECKPOINT_NAME).step
+        assert steps == list(range(first + 1, last + 1))
 
     def test_loaded_tensors_are_handed_over(self, dataset, tmp_path):
         cfg, _ = dataset
@@ -715,12 +799,13 @@ def _record_forwards(monkeypatch) -> list[list[np.ndarray]]:
 
 def _calls_as_videos(calls, videos) -> list[list[str]]:
     """Each call's chunk list as the ids of the whole videos it stacks, in
-    order; fails if a call holds part of a video."""
-    owner = {id(c.features): (vid, k) for vid, cs in videos.items()
+    order; fails if a call holds part of a video. A chunk's frames are read
+    at each access, so they are matched by their bytes."""
+    owner = {c.features.tobytes(): (vid, k) for vid, cs in videos.items()
              for k, c in enumerate(cs)}
     out = []
     for features_list in calls:
-        chunks = [owner[id(f)] for f in features_list]
+        chunks = [owner[f.tobytes()] for f in features_list]
         vids = list(dict.fromkeys(vid for vid, _ in chunks))
         assert chunks == [(vid, k) for vid in vids for k in range(len(videos[vid]))]
         out.append(vids)
@@ -790,6 +875,124 @@ class TestEvalBatching:
         assert json.dumps(got, sort_keys=True) == json.dumps(expect, sort_keys=True)
         with pytest.raises(ShapeError, match="linear"):
             cli.eval_nlq(cfg, model, vocab, manifest, videos)
+
+
+def wide_run_config(**kw):
+    """60-s videos of 360 frames, 128 wide, in two chunks, on a small model:
+    one video's frames (184 KB) outweigh what a video adds to the manifest
+    and the records."""
+    return tiny_run_config(**{**dict(duration=60.0, fps=6, chunk_seconds=30.0,
+                                     feature_dim=128, conv_kernel=6, enc_layers=0,
+                                     dec_layers=0, epochs=1), **kw})
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDataPath:
+    """A chunk's frames are read when a train step or an eval forward uses
+    them, and generate writes each video as it makes it."""
+
+    def test_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        """The peaks of generate, train and eval on 16 videos are within one
+        video's frames of those on 4."""
+        peaks = {}
+        for n in (4, 16):
+            cfg = wide_run_config(videos=n)
+            data, run = tmp_path / f"data{n}", tmp_path / f"run{n}"
+            peaks[n] = [
+                traced_peak(lambda: cli.cmd_generate(cfg, data)),
+                traced_peak(lambda: cli.cmd_train(cfg, data, run)),
+                *(traced_peak(lambda: cli.cmd_eval(cfg, data, run, task,
+                                                   run / cli.CHECKPOINT_NAME))
+                  for task in ("recognition", "nlq"))]
+        cfg = wide_run_config()
+        video = round(cfg.duration * cfg.fps) * cfg.feature_dim * 4
+        for small, large, what in zip(peaks[4], peaks[16],
+                                      ("generate", "train", "recognition", "nlq")):
+            assert large - small < video, (what, small, large)
+
+    def test_each_payload_is_read_once_a_use(self, tmp_path, monkeypatch):
+        """load_dataset reads no frame; training reads each narrated chunk
+        once an epoch and no other, and an eval call each chunk once."""
+        cfg = tiny_run_config(duration=30.0, epochs=3)
+        data = tmp_path / "data"
+        cli.cmd_generate(cfg, data)
+        reads = []
+        load = datagen.load
+
+        def counted(path, *args):
+            reads.append(Path(path).name)
+            return load(path, *args)
+
+        monkeypatch.setattr(datagen, "load", counted)
+        _, _, videos = cli.load_dataset(data)
+        assert reads == []
+        narrated = {c.path.name for cs in videos.values() for c in cs if c.narrations}
+        assert 0 < len(narrated) < sum(len(cs) for cs in videos.values())
+        cli.cmd_train(cfg, data, tmp_path / "run")
+        assert Counter(reads) == {name: cfg.epochs for name in narrated}
+        every = sorted(c.path.name for cs in videos.values() for c in cs)
+        for task in ("recognition", "nlq"):
+            reads.clear()
+            cli.cmd_eval(cfg, data, tmp_path / "run", task,
+                         tmp_path / "run" / cli.CHECKPOINT_NAME)
+            assert sorted(reads) == every
+
+    def test_chunk_rewritten_after_loading_is_an_io_error(self, dataset, tmp_path):
+        """A chunk file replaced after load_dataset by a whole chunk of
+        another shape is refused when its frames are read."""
+        _, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        _, _, videos = cli.load_dataset(bad)
+        chunk = videos["video0000"][0]
+        datagen.store(datagen.VideoRecord("c", 1.0, 2, chunk.features[:-1]), chunk.path)
+        with pytest.raises(DataFileError, match="when the dataset was loaded"):
+            chunk.features
+
+    @pytest.mark.parametrize("command", ["train", "recognition", "nlq"])
+    def test_chunk_cut_after_loading_is_a_format_error(self, dataset, trained, tmp_path,
+                                                       monkeypatch, capsys, command):
+        """A chunk file truncated after load_dataset checked its size fails
+        when its frames are read: FormatError through cmd_train and
+        cmd_eval, one format line through main."""
+        cfg, data = dataset
+        bad = tmp_path / "data"
+        shutil.copytree(data, bad)
+        load_dataset = cli.load_dataset
+
+        def then_cut(*args):
+            loaded = load_dataset(*args)
+            path = _first_chunk_file(bad)
+            path.write_bytes(path.read_bytes()[:-4])
+            return loaded
+
+        monkeypatch.setattr(cli, "load_dataset", then_cut)
+
+        def run(out):
+            if command == "train":
+                return cli.cmd_train(cfg, bad, out)
+            return cli.cmd_eval(cfg, bad, out, command, trained)
+
+        with pytest.raises(FormatError, match="truncated"):
+            run(tmp_path / "o1")
+        shutil.copy(_first_chunk_file(data), _first_chunk_file(bad))  # whole again
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_json())
+        argv = ([command, "--data", str(bad)] if command == "train" else
+                ["eval", "--data", str(bad), "--task", command, "--checkpoint", str(trained)])
+        rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o2")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: format:"), err
+        assert _first_chunk_file(bad).name in err
 
 
 class TestMainEntry:
@@ -1011,7 +1214,85 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: datagen:"), err
-        assert not (tmp_path / "o").exists()
+        # no --out, and nothing beside it
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_failed_write_leaves_no_out(self, tmp_path, monkeypatch):
+        """A generate that fails while it writes its videos removes the --out
+        that it made."""
+        store = datagen.store
+        calls = []
+
+        def fail_third(record, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            store(record, path)
+
+        monkeypatch.setattr(datagen, "store", fail_third)
+        with pytest.raises(OSError):
+            cli.cmd_generate(tiny_run_config(), tmp_path / "o")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_generate_writes_only_inside_out(self, tmp_path, monkeypatch):
+        """generate writes nothing beside --out: into an existing empty --out
+        whose parent is read-only it succeeds, and while it writes its
+        videos the parent holds --out alone."""
+        parent = tmp_path / "ro"
+        out = parent / "o"
+        out.mkdir(parents=True)
+        store, seen = datagen.store, []
+
+        def store_and_look(record, path):
+            seen.append(sorted(p.name for p in parent.iterdir()))
+            store(record, path)
+
+        monkeypatch.setattr(datagen, "store", store_and_look)
+        parent.chmod(0o555)
+        try:
+            cli.cmd_generate(tiny_run_config(), out)
+        finally:
+            parent.chmod(0o755)
+        assert seen and all(names == ["o"] for names in seen)
+        assert (out / cli.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("entries, corrupt, named", [
+        ({"duration": 10**400}, None, "duration (int of 401 digits)"),
+        ({"k" * 2000: 1}, None, "unknown config keys: str of 2000 characters"),
+        ({k: "x" * 50 for k in ("fps", "videos", "epochs", "queries", "heads")}, None,
+         "(str of 50 characters) and 2 more"),
+        (None, lambda data: _edit_manifest(lambda v: v.update(labels=[10**400]))(data),
+         "concept ids int of 401 digits outside"),
+        (None, lambda data: _edit_manifest(
+            lambda v: v.update(labels=list(range(100, 1100))))(data),
+         "concept ids 100, 101, 102 and 997 more"),
+        (None, lambda data: _rewrite_manifest(
+            lambda m: {**m, "videos": {"v" * 3000: {}}})(data),
+         "video str of 3000 characters has missing"),
+    ], ids=["config_value", "config_key", "config_values", "manifest_label",
+            "manifest_labels", "manifest_video_id"])
+    def test_error_line_names_a_huge_value_by_size(self, dataset, tmp_path, capsys,
+                                                   entries, corrupt, named):
+        """A 401-digit int or a 2,000-character key in a config file, or a
+        401-digit label or a 3,000-character video id in a manifest, is
+        named by its type and size; many bad entries by the first three and
+        a count. Each is one line of at most 300 characters."""
+        cfg, data = dataset
+        cfg_path = tmp_path / "cfg.json"
+        if corrupt is None:
+            cfg_path.write_text(json.dumps(entries))
+            argv = ["generate"]
+        else:
+            cfg_path.write_text(cfg.to_json())
+            bad = tmp_path / "data"
+            shutil.copytree(data, bad)
+            corrupt(bad)
+            argv = ["train", "--data", str(bad)]
+        rc = cli.main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) <= 300, err
+        assert named in err, err
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     @pytest.mark.parametrize("key, value", [
