@@ -79,7 +79,9 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     (datagen.chunk_bounds) that fail the config's model
     (ModelConfig.check_input). Then ``out_dir`` is made, and the
     vocabulary, each video's chunks as they are made, and the manifest
-    are written straight into it. On any error ``out_dir`` is removed if
+    are written straight into it. Once the manifest is written, every
+    ``chunks/*.maln`` it does not list (left by an earlier dataset that
+    ``force`` overwrote) is removed. On any error ``out_dir`` is removed if
     this call made it.
     """
     out_dir = Path(out_dir)
@@ -120,6 +122,11 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
         with open(out_dir / MANIFEST_NAME, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
+        # a forced generate over an older dataset drops the chunks it does not list
+        listed = {rel for entry in manifest["videos"].values() for rel in entry["chunks"]}
+        for path in (out_dir / "chunks").glob("*.maln"):
+            if f"chunks/{path.name}" not in listed:
+                path.unlink()
     except BaseException:
         if fresh:
             shutil.rmtree(out_dir, ignore_errors=True)

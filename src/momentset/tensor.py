@@ -2,8 +2,12 @@
 
 Data lives in numpy arrays. Every differentiable op appends one node to a
 global tape in execution order, so nodes are already topologically sorted
-and ``backward`` is a single reverse sweep. The tape is per-process and
-must be cleared between training steps (``clear_tape``).
+and ``backward`` is a single reverse sweep. A node keeps only what its
+backward formula reads, and gradient slots in place of its output and
+input tensors, so an intermediate array lives only while the caller or a
+later node's formula holds it. ``backward`` consumes the tape, freeing
+each node as the sweep passes it. The tape is per-process; ``clear_tape``
+empties it after a step that fails before ``backward``.
 """
 from __future__ import annotations
 
@@ -23,12 +27,13 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class Tensor:
     """A numpy array plus an optional gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.slot: _Slot | None = None  # an op output's gradient slot (_record)
 
     def item(self) -> float:
         return float(self.data)
@@ -44,7 +49,28 @@ class Tensor:
         return mul(self, _as_tensor(other))
 
 
+class _Slot:
+    """Where backward accumulates an op output's gradient. The node holds
+    this, not the output, so the output's array is not kept alive by the
+    tape."""
+
+    __slots__ = ("grad",)
+    requires_grad = True
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
+def _slot_of(t: Tensor):
+    """The gradient slot of ``t``: its ``_Slot`` for an op output, and the
+    tensor itself for a leaf."""
+    return t if t.slot is None else t.slot
+
+
 class _Node:
+    """One op on the tape: the gradient slots of its output and inputs and
+    its backward formula, a closure over only what the formula reads."""
+
     __slots__ = ("out", "inputs", "backward_fn")
 
     def __init__(self, out, inputs, backward_fn):
@@ -65,7 +91,8 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
     """Mark ``out`` differentiable and put its node on the tape."""
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _TAPE.append(_Node(out, tuple(inputs), backward_fn))
+        out.slot = _Slot()
+        _TAPE.append(_Node(out.slot, tuple(_slot_of(t) for t in inputs), backward_fn))
     return out
 
 
@@ -74,6 +101,8 @@ def tape_size() -> int:
 
 
 def clear_tape():
+    """Empty the tape; ``backward`` leaves it empty, so this is for a step
+    that fails before it."""
     _TAPE.clear()
 
 
@@ -100,11 +129,13 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def backward(loss: Tensor):
     """Populate .grad of every reachable requires_grad leaf (a tensor no op
-    produced, such as a parameter).
+    produced, such as a parameter), consuming the tape.
 
-    An op output's gradient is complete once the sweep reaches its node,
-    because every consumer sits later on the tape; it is dropped there so
-    that intermediate gradients do not pile up.
+    The sweep pops each node as it reaches it, so the node's formula and
+    all it saved are freed before the next node runs, and the tape is empty
+    on return. An op output's gradient is complete once the sweep reaches
+    its node, because every consumer sits later on the tape; its slot drops
+    it there so that intermediate gradients do not pile up.
 
     A tensor keeps the first gradient array it is handed as its ``.grad``
     and adds later ones into it in place. The array is copied only when
@@ -116,8 +147,9 @@ def backward(loss: Tensor):
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(_TAPE):
+    _slot_of(loss).grad = np.ones_like(loss.data)
+    while _TAPE:
+        node = _TAPE.pop()
         g_out = node.out.grad
         if g_out is None:
             continue
@@ -144,9 +176,10 @@ def backward(loss: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.data.shape, b.data.shape
     return _record(out, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape),
-        _unbroadcast(g, b.data.shape),
+        _unbroadcast(g, a_shape),
+        _unbroadcast(g, b_shape),
     ))
 
 
@@ -258,10 +291,11 @@ def gelu(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    shape = a.data.shape
 
     def bwd(g):
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape),)
+        return (np.broadcast_to(gg, shape),)
 
     return _record(out, (a,), bwd)
 
@@ -280,7 +314,8 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.data.shape),))
+    a_shape = a.data.shape
+    return _record(out, (a,), lambda g: (g.reshape(a_shape),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -288,9 +323,10 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     out = Tensor(a.data[idx])
+    shape = a.data.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -312,9 +348,10 @@ def take(a: Tensor, index) -> Tensor:
     """Rows ``a[index]`` along the first axis; a repeated row's gradients add."""
     index = np.asarray(index)
     out = Tensor(a.data[index])
+    shape = a.data.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         np.add.at(full, index, g)
         return (full,)
 

@@ -163,6 +163,18 @@ class TestGenerate:
         cli.cmd_generate(cfg, target, force=True)
         assert (target / cli.MANIFEST_NAME).exists()
 
+    def test_force_removes_chunks_the_new_manifest_does_not_list(self, tmp_path):
+        """6 default videos, then 2 forced into the same directory: the 8
+        chunk files of the first dataset's last 4 videos go."""
+        target = tmp_path / "forced"
+        cli.cmd_generate(RunConfig(videos=6), target)
+        assert len(list((target / "chunks").iterdir())) == 12
+        cli.cmd_generate(RunConfig(videos=2), target, force=True)
+        manifest = json.loads((target / cli.MANIFEST_NAME).read_text())
+        listed = {c for m in manifest["videos"].values() for c in m["chunks"]}
+        on_disk = {f"chunks/{p.name}" for p in (target / "chunks").iterdir()}
+        assert len(listed) == 4 and on_disk == listed
+
     def test_workers_do_not_change_output(self, dataset, tmp_path):
         cfg, out = dataset
         cfg2 = tiny_run_config(workers=3)

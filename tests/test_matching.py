@@ -306,17 +306,20 @@ class TestTrainStep:
 
 
 class RecordGrads:
-    """Optimizer stand-in: keeps the gradients and the tape size at step."""
+    """Optimizer stand-in: keeps the gradients, the tape size at zero_grad
+    (train_step calls it after the forward, before backward) and the tape
+    size at step (after backward, which consumes the tape)."""
 
     def __init__(self, params):
         self.params = params
 
     def zero_grad(self):
+        self.nodes = tt.tape_size()
         for p in self.params.values():
             p.grad = None
 
     def step(self):
-        self.nodes = tt.tape_size()
+        self.nodes_at_step = tt.tape_size()
         self.grads = {k: p.grad for k, p in self.params.items()}
 
 
@@ -376,7 +379,8 @@ def test_sim_means_are_means_of_chunk_means():
 
 def test_tape_does_not_grow_with_the_batch():
     """Default widths, 300-frame chunks with two narrations: one fixed-size
-    tape per step, and no two parameters' gradients share memory."""
+    tape per step, read before backward, which leaves it empty; and no two
+    parameters' gradients share memory."""
     vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
     nodes = {}
     for batch in (8, 16):
@@ -389,11 +393,12 @@ def test_tape_does_not_grow_with_the_batch():
         samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
         matching.train_step(model, vocab, chunks, samples, opt)
         nodes[batch] = opt.nodes
+        assert opt.nodes_at_step == 0
         grads = [g for g in opt.grads.values()]
         assert all(g is not None and g.flags.c_contiguous for g in grads)
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
-    assert nodes[8] <= 300
+    assert 0 < nodes[8] <= 300
     assert nodes[16] == nodes[8]
 
 

@@ -1,6 +1,9 @@
 """Checks that need a real process: a run ended by ``os._exit``, which
-flushes and closes nothing, as a kill would."""
+flushes and closes nothing, as a kill would, and ``python -m momentset.cli``
+runs checked by their exit codes, stderr lines and files."""
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,35 @@ from momentset import cli
 from momentset.config import RunConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+
+
+def run_cli(*args, check=True) -> subprocess.CompletedProcess:
+    """``python -m momentset.cli`` with ``args``; with ``check``, a run
+    that does not exit 0 fails the test with its stderr."""
+    proc = subprocess.run([sys.executable, "-m", "momentset.cli", *map(str, args)],
+                          env={**ENV, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=300)
+    if check:
+        assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def write_config(path: Path, **fields) -> Path:
+    path.write_text(json.dumps(fields))
+    return path
+
+
+def set_snapshot_field(src: Path, dst: Path, key: str, value):
+    """Copy the checkpoint ``src`` to ``dst`` with one field of its config
+    snapshot (the JSON after the magic, version and u32 length) set."""
+    blob = src.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    snapshot = json.loads(blob[12:12 + n])
+    snapshot[key] = value
+    cfg = json.dumps(snapshot).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(cfg)) + cfg + blob[12 + n:])
 
 # train with the config file argv[1] on the dataset argv[2] into argv[3],
 # ending the process right after the save of epoch argv[4]
@@ -45,13 +77,112 @@ def test_exit_right_after_a_save_resumes_to_the_same_bytes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json())
     part = tmp_path / "part"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-c", EXIT_AFTER_SAVE, str(cfg_path), str(data), str(part), "2"],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 137, proc.stderr
     assert ckpt.load_checkpoint(part / cli.CHECKPOINT_NAME).epochs_done == 2
     cli.cmd_train(cfg, data, part, resume_from=part / cli.CHECKPOINT_NAME)
     for name in (cli.TRAIN_LOG_NAME, cli.CHECKPOINT_NAME):
         assert (part / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_train_resume_and_eval_on_chunks_without_narrations(tmp_path):
+    """600-s videos in 50-s chunks with 4 narrations each, so most chunks
+    have none: generate, train 1 epoch, resume to 2 and eval both tasks."""
+    cfg1 = write_config(tmp_path / "epochs1.json", videos=8, duration=600.0,
+                        moments_per_video=4, epochs=1)
+    cfg2 = write_config(tmp_path / "epochs2.json", videos=8, duration=600.0,
+                        moments_per_video=4, epochs=2)
+    data, run = tmp_path / "data", tmp_path / "run"
+    ckpt_path = run / cli.CHECKPOINT_NAME
+    run_cli("generate", "--config", cfg1, "--out", data)
+    run_cli("train", "--config", cfg1, "--data", data, "--out", run)
+    run_cli("train", "--config", cfg2, "--data", data, "--out", run,
+            "--checkpoint", ckpt_path)
+    log = (run / cli.TRAIN_LOG_NAME).read_text().splitlines()
+    assert len(log) == 9  # a header and 8 steps
+    for task in ("recognition", "nlq"):
+        run_cli("eval", "--config", cfg2, "--data", data, "--out", run,
+                "--checkpoint", ckpt_path, "--task", task)
+
+
+def test_eval_of_a_long_kernel_checkpoint_with_no_config(tmp_path):
+    """A conv-350 model on 600-frame chunks, evaluated with no --config:
+    the default config's 300-frame chunks are not the dataset's, so they
+    must not decide whether the checkpoint loads."""
+    cfg = write_config(tmp_path / "cfg.json", videos=4, chunk_seconds=100.0,
+                       conv_kernel=350, epochs=1)
+    data, run = tmp_path / "data", tmp_path / "run"
+    run_cli("generate", "--config", cfg, "--out", data)
+    run_cli("train", "--config", cfg, "--data", data, "--out", run)
+    for task in ("recognition", "nlq"):
+        run_cli("eval", "--data", data, "--out", run,
+                "--checkpoint", run / cli.CHECKPOINT_NAME, "--task", task)
+
+
+def test_non_finite_config_is_one_error_line_and_no_out(tmp_path):
+    """A NaN loss_bias_init is refused when the config file is read, so
+    generate prints one error line and makes no --out, nor anything
+    beside it."""
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"videos": 2, "epochs": 1, "loss_bias_init": NaN}')
+    proc = run_cli("generate", "--config", cfg, "--out", tmp_path / "nan", check=False)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.json"]
+
+
+def test_resume_on_another_dataset_numbers_rows_from_the_checkpoint(tmp_path):
+    """A 1-epoch run on 4 default videos (1 step) resumed to 2 epochs on
+    12 (3 steps an epoch) numbers its log rows from the checkpoint's step."""
+    small = write_config(tmp_path / "small.json", videos=4, epochs=1)
+    large = write_config(tmp_path / "large.json", videos=12, epochs=2)
+    run = tmp_path / "run"
+    run_cli("generate", "--config", small, "--out", tmp_path / "small")
+    run_cli("generate", "--config", large, "--out", tmp_path / "large")
+    run_cli("train", "--config", small, "--data", tmp_path / "small", "--out", run)
+    run_cli("train", "--config", large, "--data", tmp_path / "large", "--out", run,
+            "--checkpoint", run / cli.CHECKPOINT_NAME)
+    rows = (run / cli.TRAIN_LOG_NAME).read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+
+
+def test_number_a_float_cannot_hold_is_one_short_error_line(tmp_path):
+    """A 400-digit int in a config file is one error line of at most 300
+    characters, and generate makes no --out."""
+    cfg = tmp_path / "big.json"
+    cfg.write_text(f'{{"duration": {10 ** 400}}}')
+    proc = run_cli("generate", "--config", cfg, "--out", tmp_path / "big", check=False)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert len(proc.stderr.encode()) <= 300
+    assert not (tmp_path / "big").exists()
+
+
+def test_number_a_float_cannot_hold_in_a_snapshot_is_an_io_error(tmp_path):
+    """A 400-digit int in a checkpoint's config snapshot is a bad snapshot."""
+    cfg = write_config(tmp_path / "small.json", videos=2, epochs=1)
+    data, run = tmp_path / "data", tmp_path / "run"
+    run_cli("generate", "--config", cfg, "--out", data)
+    run_cli("train", "--config", cfg, "--data", data, "--out", run)
+    bad = tmp_path / "bad.malc"
+    set_snapshot_field(run / cli.CHECKPOINT_NAME, bad, "loss_bias_init", 10 ** 400)
+    proc = run_cli("eval", "--data", data, "--out", tmp_path / "eval",
+                   "--checkpoint", bad, "--task", "nlq", check=False)
+    assert proc.returncode == 2
+    assert any(line.startswith("error: io:") and "bad config snapshot" in line
+               for line in proc.stderr.splitlines()), proc.stderr
+
+
+def test_weights_that_blow_up_end_in_a_numeric_error(tmp_path):
+    """An lr that blows the weights up ends in the forward's refusal of a
+    non-finite row."""
+    cfg = write_config(tmp_path / "lr.json", videos=4, epochs=3, lr=1e300)
+    run_cli("generate", "--config", cfg, "--out", tmp_path / "lr")
+    proc = run_cli("train", "--config", cfg, "--data", tmp_path / "lr",
+                   "--out", tmp_path / "lrrun", check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith("error: numeric:"), proc.stderr
