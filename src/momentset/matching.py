@@ -197,11 +197,16 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
     (``batch_loss``); ``samples[b]`` is chunk b's, at least one each. The
     caller picks the chunks and draws the samples (cli.cmd_train). The tape
     is cleared on every exit, a failed step included.
+
+    The previous step's gradients are dropped before the forward, so a step
+    never holds two gradient sets: its peak is the parameters, the moments,
+    and the larger of the forward's activations and backward's gradients.
+    This step's gradients stay on the parameters until the next step.
     """
+    optimizer.zero_grad()
     try:
         loss, sims, assignments = batch_loss(model, vocab, chunks, samples)
         matched, unmatched = _sim_means(sims, assignments)
-        optimizer.zero_grad()
         tt.backward(loss)
         optimizer.step()
     finally:

@@ -17,9 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, describe
 from .temporal import TemporalTable
 from .tensor import Tensor
+
+
+# The most parameters a model may have: about 20x paper_scale's 54.2 M,
+# and 8.6 GB for each of the parameters and Adam's two moments. A fixed
+# cap, not this machine's memory, so a config is valid everywhere or
+# nowhere.
+MAX_PARAMS = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,9 @@ class ModelConfig:
             problems.append("temporal_rows must be >= 2")
         if self.queries < 1:
             problems.append("queries must be >= 1")
+        if not problems and (count := param_count(self)) > MAX_PARAMS:
+            problems.append(f"the model's parameter count ({describe(count)}) is "
+                            f"above the cap of {MAX_PARAMS}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -111,35 +121,34 @@ def _layernorm_shapes(name, dim):
     yield f"{name}.b", (dim,)
 
 
-def param_shapes(config: ModelConfig):
-    """Yield every parameter's (name, shape) in the model's order, which is
-    also the checkpoint's payload order and the order of the init draws.
+def _ffn_shapes(name, config):
+    yield from _linear_shapes(f"{name}.fc1", config.model_dim, config.ffn_hidden)
+    yield from _linear_shapes(f"{name}.fc2", config.ffn_hidden, config.model_dim)
 
-    Lazy, so sizing a checkpoint's snapshot against its file stops at the
-    first overrun, however many layers the snapshot claims.
-    """
+
+def _encoder_layer_shapes(pre, config):
+    d = config.model_dim
+    yield from _layernorm_shapes(f"{pre}.ln1", d)
+    for w in ("wq", "wk", "wv", "wo"):
+        yield from _linear_shapes(f"{pre}.attn.{w}", d, d)
+    yield from _layernorm_shapes(f"{pre}.ln2", d)
+    yield from _ffn_shapes(f"{pre}.ffn", config)
+
+
+def _decoder_layer_shapes(pre, config):
+    d = config.model_dim
+    yield from _layernorm_shapes(f"{pre}.ln1", d)
+    for w in ("wq", "wk", "wv", "wo"):
+        yield from _linear_shapes(f"{pre}.self.{w}", d, d)
+    yield from _layernorm_shapes(f"{pre}.ln2", d)
+    for w in ("wq", "wk", "wv", "wo"):
+        yield from _linear_shapes(f"{pre}.cross.{w}", d, d)
+    yield from _layernorm_shapes(f"{pre}.ln3", d)
+    yield from _ffn_shapes(f"{pre}.ffn", config)
+
+
+def _head_shapes(config):
     c, d = config, config.model_dim
-    yield from _linear_shapes("conv", c.conv_kernel * c.feature_dim, d)
-    for i in range(c.enc_layers):
-        pre = f"enc.{i}"
-        yield from _layernorm_shapes(f"{pre}.ln1", d)
-        for w in ("wq", "wk", "wv", "wo"):
-            yield from _linear_shapes(f"{pre}.attn.{w}", d, d)
-        yield from _layernorm_shapes(f"{pre}.ln2", d)
-        yield from _linear_shapes(f"{pre}.ffn.fc1", d, c.ffn_hidden)
-        yield from _linear_shapes(f"{pre}.ffn.fc2", c.ffn_hidden, d)
-    yield "queries", (c.queries, d)
-    for i in range(c.dec_layers):
-        pre = f"dec.{i}"
-        yield from _layernorm_shapes(f"{pre}.ln1", d)
-        for w in ("wq", "wk", "wv", "wo"):
-            yield from _linear_shapes(f"{pre}.self.{w}", d, d)
-        yield from _layernorm_shapes(f"{pre}.ln2", d)
-        for w in ("wq", "wk", "wv", "wo"):
-            yield from _linear_shapes(f"{pre}.cross.{w}", d, d)
-        yield from _layernorm_shapes(f"{pre}.ln3", d)
-        yield from _linear_shapes(f"{pre}.ffn.fc1", d, c.ffn_hidden)
-        yield from _linear_shapes(f"{pre}.ffn.fc2", c.ffn_hidden, d)
     yield from _linear_shapes("head.visual.fc1", d, c.ffn_hidden)
     yield from _linear_shapes("head.visual.fc2", c.ffn_hidden, c.feature_dim)
     yield from _linear_shapes("head.temporal.fc1", d, c.ffn_hidden)
@@ -147,6 +156,40 @@ def param_shapes(config: ModelConfig):
     yield "loss.log_t", ()
     yield "loss.b", ()
     yield "temporal.table", (c.temporal_rows, d)
+
+
+def _layout_sections(config: ModelConfig):
+    """The parameter layout as (repeats, shapes of repeat i) in model
+    order: the conv, the encoder layers, the queries, the decoder layers
+    and the heads."""
+    c, d = config, config.model_dim
+    return [
+        (1, lambda i: _linear_shapes("conv", c.conv_kernel * c.feature_dim, d)),
+        (c.enc_layers, lambda i: _encoder_layer_shapes(f"enc.{i}", c)),
+        (1, lambda i: [("queries", (c.queries, d))]),
+        (c.dec_layers, lambda i: _decoder_layer_shapes(f"dec.{i}", c)),
+        (1, lambda i: _head_shapes(c)),
+    ]
+
+
+def param_shapes(config: ModelConfig):
+    """Yield every parameter's (name, shape) in the model's order, which is
+    also the checkpoint's payload order and the order of the init draws.
+
+    Lazy, so sizing a checkpoint's snapshot against its file stops at the
+    first overrun, however many layers the snapshot claims.
+    """
+    for repeats, shapes in _layout_sections(config):
+        for i in range(repeats):
+            yield from shapes(i)
+
+
+def param_count(config: ModelConfig) -> int:
+    """The number of parameter elements that param_shapes lists, counted
+    as one layer's size times the layers, so a config that claims 2^64
+    layers is counted at once."""
+    return sum(repeats * sum(math.prod(shape) for _, shape in shapes(0))
+               for repeats, shapes in _layout_sections(config))
 
 
 def _init_param(name, shape, config: ModelConfig, rng):

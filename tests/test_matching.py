@@ -304,23 +304,60 @@ class TestTrainStep:
             matching.train_step(model, vocab, [chunk], samples, Adam(model.params))
         assert tt.tape_size() == 0
 
+    def test_previous_gradients_are_dropped_before_the_forward(self, monkeypatch):
+        """While the second of two steps runs its forward, no parameter
+        holds the first step's gradient; after it, each holds its own."""
+        from momentset.optim import Adam
+        vocab = ConceptVocabulary.generate(5, 6, np.random.default_rng(0))
+        chunk = generate_video(vocab, 3, 30.0, 2, 0.1, rng_seed=1)
+        config = ModelConfig(feature_dim=6, model_dim=8, conv_kernel=2,
+                             enc_layers=1, dec_layers=1, heads=2, head_dim=4,
+                             queries=4, temporal_rows=8, ffn_hidden=16)
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(2)))
+        held = []
+        forward = model.forward_chunks
+
+        def probe(*args, **kwargs):
+            held.append([k for k, p in model.params.items() if p.grad is not None])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_chunks", probe)
+        opt = Adam(model.params)
+        samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
+        for _ in range(2):
+            matching.train_step(model, vocab, [chunk], samples, opt)
+        assert held == [[], []]
+        assert all(p.grad is not None for p in model.params.values())
+
 
 class RecordGrads:
-    """Optimizer stand-in: keeps the gradients, the tape size at zero_grad
-    (train_step calls it after the forward, before backward) and the tape
-    size at step (after backward, which consumes the tape)."""
+    """Optimizer stand-in: keeps the gradients and the tape size at step
+    (after backward, which consumes the tape)."""
 
     def __init__(self, params):
         self.params = params
 
     def zero_grad(self):
-        self.nodes = tt.tape_size()
         for p in self.params.values():
             p.grad = None
 
     def step(self):
         self.nodes_at_step = tt.tape_size()
         self.grads = {k: p.grad for k, p in self.params.items()}
+
+
+def record_tape_at_backward(monkeypatch) -> list[int]:
+    """Wrap tt.backward so that each call first records the tape's size,
+    the nodes the forward left for it."""
+    sizes = []
+    backward = tt.backward
+
+    def probe(loss):
+        sizes.append(tt.tape_size())
+        backward(loss)
+
+    monkeypatch.setattr(tt, "backward", probe)
+    return sizes
 
 
 def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses():
@@ -377,11 +414,12 @@ def test_sim_means_are_means_of_chunk_means():
     assert matching._sim_means(one, [np.array([0])]) == (0.5, 0.0)
 
 
-def test_tape_does_not_grow_with_the_batch():
+def test_tape_does_not_grow_with_the_batch(monkeypatch):
     """Default widths, 300-frame chunks with two narrations: one fixed-size
-    tape per step, read before backward, which leaves it empty; and no two
-    parameters' gradients share memory."""
+    tape per step, read as backward starts, which leaves it empty; and no
+    two parameters' gradients share memory."""
     vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
+    sizes = record_tape_at_backward(monkeypatch)
     nodes = {}
     for batch in (8, 16):
         chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
@@ -392,7 +430,7 @@ def test_tape_does_not_grow_with_the_batch():
         rng = np.random.default_rng(2)
         samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
         matching.train_step(model, vocab, chunks, samples, opt)
-        nodes[batch] = opt.nodes
+        nodes[batch] = sizes[-1]
         assert opt.nodes_at_step == 0
         grads = [g for g in opt.grads.values()]
         assert all(g is not None and g.flags.c_contiguous for g in grads)

@@ -6,7 +6,8 @@ import pytest
 from helpers import finite_diff_check
 from momentset import tensor as tt
 from momentset.errors import ConfigError, ShapeError
-from momentset.model import ModelConfig, MomentSetModel, _init_normal, init_params
+from momentset.model import (MAX_PARAMS, ModelConfig, MomentSetModel, _init_normal,
+                             init_params, param_count, param_shapes)
 from momentset.tensor import Tensor
 
 
@@ -41,6 +42,23 @@ class TestConfig:
     def test_default_param_count(self):
         params = make(ModelConfig()).params.values()
         assert sum(p.data.size for p in params) == 349954
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(), ModelConfig.paper_scale(), tiny_config(enc_layers=0, dec_layers=3),
+        tiny_config(enc_layers=4, dec_layers=0)], ids=["default", "paper", "dec3", "enc4"])
+    def test_param_count_is_the_layout_size(self, config):
+        assert param_count(config) == sum(math.prod(s) for _, s in param_shapes(config))
+
+    @pytest.mark.parametrize("field, value", [
+        ("queries", 2 ** 40), ("ffn_hidden", 2 ** 40), ("temporal_rows", 2 ** 40),
+        ("feature_dim", 2 ** 40), ("enc_layers", 10 ** 7), ("dec_layers", 2 ** 64)])
+    def test_model_above_the_parameter_cap_is_refused(self, field, value):
+        """Counted in closed form, so 2^64 layers are refused at once."""
+        with pytest.raises(ConfigError, match="parameter count"):
+            ModelConfig(**{field: value})
+
+    def test_paper_scale_is_far_inside_the_parameter_cap(self):
+        assert param_count(ModelConfig.paper_scale()) * 16 < MAX_PARAMS
 
 
 class TestTokenize:

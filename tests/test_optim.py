@@ -101,11 +101,13 @@ def test_skips_params_without_grad():
 
 
 def _reference_step(p, g, m, v, t, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
-    """The unblocked update on whole arrays, in the order Adam.step keeps."""
+    """The unblocked folded update on whole arrays, in the order Adam.step
+    keeps: the bias corrections are the two scalars step_size and eps_hat."""
     m = b1 * m + (1.0 - b1) * g
     v = b2 * v + (1.0 - b2) * g * g
-    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    return p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps), m, v
+    root_bc2 = np.sqrt(1.0 - b2 ** t)
+    step_size = lr * root_bc2 / (1.0 - b1 ** t)
+    return p - step_size * m / (np.sqrt(v) + eps * root_bc2), m, v
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (BLOCK,), (BLOCK + 1,), (200, 200)])
@@ -121,6 +123,31 @@ def test_blocked_step_matches_reference_bit_for_bit(shape):
         assert p.data.tobytes() == ref.tobytes()
         assert opt.m["p"].tobytes() == m.tobytes()
         assert opt.v["p"].tobytes() == v.tobytes()
+
+
+def test_folded_step_matches_the_textbook_update():
+    """400 steps against Kingma & Ba's Algorithm 1 as written, on gradients
+    from 1e-14 (where eps dominates the denominator) to 1e1, one scale a
+    row, that change size between steps. The parameter is zeroed before
+    each step, so the update is exactly ``-p``; the fold only rounds
+    differently, and the moments are the same bytes."""
+    rng = np.random.default_rng(5)
+    shape = (6, 50)
+    scales = 10.0 ** np.arange(-14, 3, 3)[:, None]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    p = Tensor(np.zeros(shape), requires_grad=True)
+    opt = Adam({"p": p}, lr=lr)
+    m, v = np.zeros(shape), np.zeros(shape)
+    for t in range(1, 401):
+        p.data[...] = 0.0
+        p.grad = rng.standard_normal(shape) * scales * rng.uniform(0.1, 10.0)
+        opt.step()
+        m = b1 * m + (1.0 - b1) * p.grad
+        v = b2 * v + (1.0 - b2) * p.grad * p.grad
+        update = lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert opt.m["p"].tobytes() == m.tobytes()
+        assert opt.v["p"].tobytes() == v.tobytes()
+        np.testing.assert_allclose(-p.data, update, rtol=1e-12, atol=0)
 
 
 def test_param_without_grad_keeps_value_and_moments():

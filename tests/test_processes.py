@@ -3,10 +3,13 @@ flushes and closes nothing, as a kill would, and ``python -m momentset.cli``
 runs checked by their exit codes, stderr lines and files."""
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from momentset import checkpoint as ckpt
 from momentset import cli
@@ -17,15 +20,23 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
 
 
-def run_cli(*args, check=True) -> subprocess.CompletedProcess:
+def run_cli(*args, check=True, preexec_fn=None) -> subprocess.CompletedProcess:
     """``python -m momentset.cli`` with ``args``; with ``check``, a run
-    that does not exit 0 fails the test with its stderr."""
+    that does not exit 0 fails the test with its stderr. ``preexec_fn``
+    runs in the child before the CLI starts."""
     proc = subprocess.run([sys.executable, "-m", "momentset.cli", *map(str, args)],
                           env={**ENV, "OPENBLAS_NUM_THREADS": "1"},
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          preexec_fn=preexec_fn)
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def cap_address_space():
+    """Limit the child to 2 GB of address space, so a model too big to
+    exist fails its allocation at once instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
 def write_config(path: Path, **fields) -> Path:
@@ -186,3 +197,44 @@ def test_weights_that_blow_up_end_in_a_numeric_error(tmp_path):
                    "--out", tmp_path / "lrrun", check=False)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1].startswith("error: numeric:"), proc.stderr
+
+
+TOO_BIG = {"queries": 2 ** 40, "ffn_hidden": 2 ** 40, "enc_layers": 10 ** 7}
+
+
+@pytest.mark.parametrize("field", sorted(TOO_BIG))
+def test_model_too_big_to_exist_is_one_config_error_line(tmp_path, field):
+    """A config whose model has more parameters than the cap is one error
+    line of at most 300 characters, and train makes no --out. Under the
+    child's 2-GB cap, building such a model ended in a MemoryError
+    traceback; without a cap, 10^7 layers allocated until stopped."""
+    data = tmp_path / "data"
+    cli.cmd_generate(RunConfig(videos=2, epochs=1), data)
+    cfg = write_config(tmp_path / "big.json", videos=2, epochs=1, **{field: TOO_BIG[field]})
+    proc = run_cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "run",
+                   check=False, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:"), proc.stderr
+    assert "parameter count" in lines[0] and len(proc.stderr.encode()) <= 300
+    assert not (tmp_path / "run").exists()
+
+
+def test_snapshot_of_a_model_too_big_to_exist_is_a_bad_snapshot(tmp_path):
+    """A checkpoint whose snapshot claims such a model is refused as a bad
+    snapshot, not sized against the file."""
+    cfg = RunConfig(videos=2, epochs=1)
+    data, run = tmp_path / "data", tmp_path / "run"
+    cli.cmd_generate(cfg, data)
+    cli.cmd_train(cfg, data, run)
+    for field, value in TOO_BIG.items():
+        bad = tmp_path / f"{field}.malc"
+        set_snapshot_field(run / cli.CHECKPOINT_NAME, bad, field, value)
+        proc = run_cli("eval", "--data", data, "--out", tmp_path / "eval",
+                       "--checkpoint", bad, "--task", "nlq", check=False,
+                       preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io:"), proc.stderr
+        assert "bad config snapshot" in lines[0] and "parameter count" in lines[0]
+        assert not (tmp_path / "eval").exists()
