@@ -59,7 +59,8 @@ def replace_file(path):
             yield f
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        # the temp file may not exist, or its name be taken by a directory
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -29,6 +30,12 @@ VOCAB_NAME = "vocab.npz"
 CHECKPOINT_NAME = "checkpoint.malc"
 TRAIN_LOG_NAME = "train_log.csv"
 
+# The most float64 values that generate makes in one array: the vocabulary
+# (vocab_size x feature_dim) or one video's frames (frames x feature_dim),
+# 8.6 GB. A fixed cap, as model.MAX_PARAMS is, so a config generates on
+# every machine or none.
+MAX_GENERATE_VALUES = 2 ** 30
+
 # The Ego4D NLQ protocol (Grauman et al., CVPR 2022): recall@{1, 5} at
 # temporal IoU {0.3, 0.5}.
 NLQ_TOPK = (1, 5)
@@ -48,6 +55,17 @@ def _make_out_dir(out_dir: Path) -> None:
         raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Raise DataFileError naming ``path`` for an OSError in the block (its
+    name taken by a directory, say), so that an output file that cannot be
+    written is one ``error: io:`` line."""
+    try:
+        yield
+    except OSError as e:
+        raise DataFileError(f"{path}: cannot write ({e})") from e
+
+
 def _video_id(v: int) -> str:
     return f"video{v:04d}"
 
@@ -57,7 +75,8 @@ def _store_video(record: datagen.VideoRecord, chunk_seconds: float, root: Path) 
     paths = []
     for k, chunk in enumerate(datagen.chunk_video(record, chunk_seconds)):
         rel = f"chunks/{record.video_id}_{k:03d}.maln"
-        datagen.store(chunk, root / rel)
+        with _writing(root / rel):
+            datagen.store(chunk, root / rel)
         paths.append(rel)
     return {
         "duration": record.duration,
@@ -75,8 +94,9 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     at a time on a thread pool).
 
     Every refusal comes before any file exists: a non-empty ``out_dir``
-    without ``force``, a vocabulary or moments that do not fit, and chunks
-    (datagen.chunk_bounds) that fail the config's model
+    without ``force``, a vocabulary or one video's frames of more than
+    MAX_GENERATE_VALUES values, a vocabulary or moments that do not fit,
+    and chunks (datagen.chunk_bounds) that fail the config's model
     (ModelConfig.check_input). Then ``out_dir`` is made, and the
     vocabulary, each video's chunks as they are made, and the manifest
     are written straight into it. Once the manifest is written, every
@@ -92,6 +112,12 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     except OSError as e:
         raise ConfigError(f"output directory {out_dir}: {e.strerror}") from e
 
+    frames = datagen.frame_count(config.duration, config.fps)
+    for what, size in (("the vocabulary", config.vocab_size * config.feature_dim),
+                       ("a video's frames", frames * config.feature_dim)):
+        if size > MAX_GENERATE_VALUES:
+            raise ConfigError(f"{what} would hold {describe(size)} values, above "
+                              f"the cap of {MAX_GENERATE_VALUES}")
     rng = np.random.default_rng([config.seed, 0])
     vocab = datagen.ConceptVocabulary.generate(
         config.vocab_size, config.feature_dim, rng)
@@ -108,7 +134,8 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
 
     _make_out_dir(out_dir / "chunks")
     try:
-        vocab.save(out_dir / VOCAB_NAME)
+        with _writing(out_dir / VOCAB_NAME):
+            vocab.save(out_dir / VOCAB_NAME)
         manifest = {"version": 1, "vocab": VOCAB_NAME,
                     "config": config.to_dict(), "videos": {}}
         # at most ``window`` videos are held at once; no thread starts at 1
@@ -119,7 +146,8 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
                 for record in run(make, range(v0, min(v0 + window, config.videos))):
                     manifest["videos"][record.video_id] = _store_video(
                         record, config.chunk_seconds, out_dir)
-        with open(out_dir / MANIFEST_NAME, "w") as f:
+        manifest_path = out_dir / MANIFEST_NAME
+        with _writing(manifest_path), open(manifest_path, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
         # a forced generate over an older dataset drops the chunks it does not list
@@ -131,7 +159,7 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
         if fresh:
             shutil.rmtree(out_dir, ignore_errors=True)
         raise
-    return out_dir / MANIFEST_NAME
+    return manifest_path
 
 
 # what load_dataset and eval read of each manifest video entry
@@ -265,7 +293,11 @@ def cut_train_log(path: Path, step: int):
     The cut copy is written beside the log and renamed into place."""
     kept = []  # the header, then the rows
     later = False  # whether a complete row after ``step`` ended the cut
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise DataFileError(f"{path}: unreadable train log ({e.strerror})") from e
+    with f:
         for line in f:
             # a row cut off mid-write has no newline
             if kept and (not line.endswith(b"\n") or _row_step(line, path) > step):
@@ -276,7 +308,7 @@ def cut_train_log(path: Path, step: int):
     if _row_step(kept[-1], path) != step if len(kept) > 1 else not later:
         raise DataFileError(f"{path}: its complete rows stop short of the "
                             f"checkpoint's step {step}")
-    with ckpt.replace_file(path) as f:
+    with _writing(path), ckpt.replace_file(path) as f:
         f.writelines(kept)
 
 
@@ -326,11 +358,15 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 
     ckpt_path = out_dir / CHECKPOINT_NAME
     mode = "a" if resume_from is not None and log_path.exists() else "w"
-    with open(log_path, mode, newline="") as f:
+    # the log's writes are typed one by one, as an OSError of a save is not
+    # the log's
+    with _writing(log_path):
+        f = open(log_path, mode, newline="")
         writer = csv.writer(f)
         if mode == "w":
             writer.writerow(["step", "loss", "matched_sim_mean",
                              "unmatched_sim_mean", "t", "b"])
+    with f:
         for epoch in range(start_epoch, config.epochs):
             rng = np.random.default_rng([config.seed, 3, epoch])
             order = rng.permutation(len(chunks))
@@ -342,14 +378,17 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
                 stats = matching.train_step(model, vocab, batch, samples, optimizer)
                 # a row's step is the optimizer's, so a resume continues
                 # from the checkpoint's step, on any dataset
-                writer.writerow([optimizer.step_count, f"{stats.loss:.10g}",
-                                 f"{stats.matched_sim_mean:.10g}",
-                                 f"{stats.unmatched_sim_mean:.10g}",
-                                 f"{stats.temperature:.10g}",
-                                 f"{stats.bias:.10g}"])
+                with _writing(log_path):
+                    writer.writerow([optimizer.step_count, f"{stats.loss:.10g}",
+                                     f"{stats.matched_sim_mean:.10g}",
+                                     f"{stats.unmatched_sim_mean:.10g}",
+                                     f"{stats.temperature:.10g}",
+                                     f"{stats.bias:.10g}"])
             # the log on disk covers every step that the checkpoint holds
-            f.flush()
-            ckpt.save_checkpoint(ckpt_path, config, model, optimizer, epoch + 1)
+            with _writing(log_path):
+                f.flush()
+            with _writing(ckpt_path):
+                ckpt.save_checkpoint(ckpt_path, config, model, optimizer, epoch + 1)
     return ckpt_path
 
 
@@ -470,7 +509,7 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
             recall[str(k)][str(iou)] = evaluate.nlq_recall(
                 gt_intervals, predictions, k, iou)
     if outcomes_path is not None:
-        with open(outcomes_path, "w", newline="") as f:
+        with _writing(outcomes_path), open(outcomes_path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -508,7 +547,8 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     else:
         report = eval_nlq(config, model, vocab, manifest, videos,
                           outcomes_path=out_dir / "nlq_outcomes.csv")
-    with open(out_dir / f"report_{task}.json", "w") as f:
+    report_path = out_dir / f"report_{task}.json"
+    with _writing(report_path), open(report_path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     return report

@@ -87,9 +87,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` puts a node on the tape."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
     """Mark ``out`` differentiable and put its node on the tape."""
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _records(inputs):
         out.requires_grad = True
         out.slot = _Slot()
         _TAPE.append(_Node(out.slot, tuple(_slot_of(t) for t in inputs), backward_fn))
@@ -276,17 +281,25 @@ def exp(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    """``x * Φ(x)``, Φ the standard normal CDF. A recorded node keeps only
+    the derivative ``Φ + x * pdf(x)``, formed in the forward, so ``x`` and
+    Φ are freed once the forward moves on; without a node (``no_grad``, or
+    an input that needs no gradient) no derivative is formed."""
     x = a.data
     phi = erf(x * _INV_SQRT2)  # phi = 0.5 * (1 + erf(x / sqrt 2)), in place
     phi += 1.0
     phi *= 0.5
     out = Tensor(x * phi)
-
-    def bwd(g):
-        # formed only when backward runs, so a no_grad forward skips the exp
-        return (g * (phi + x * np.exp(-0.5 * x * x) * _INV_SQRT2PI),)
-
-    return _record(out, (a,), bwd)
+    if not _records((a,)):
+        return out
+    # phi + x * exp(-0.5 * x * x) * (1 / sqrt(2 pi)), in that order, in place
+    d = np.multiply(x, -0.5, out=np.empty(x.shape))  # an array even for 0-d x
+    d *= x
+    np.exp(d, out=d)
+    d *= x
+    d *= _INV_SQRT2PI
+    d += phi
+    return _record(out, (a,), lambda g: (g * d,))
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:

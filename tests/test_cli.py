@@ -1231,7 +1231,7 @@ class TestMainEntry:
 
     def test_failed_write_leaves_no_out(self, tmp_path, monkeypatch):
         """A generate that fails while it writes its videos removes the --out
-        that it made."""
+        that it made; the OSError is an io error naming the chunk."""
         store = datagen.store
         calls = []
 
@@ -1242,8 +1242,9 @@ class TestMainEntry:
             store(record, path)
 
         monkeypatch.setattr(datagen, "store", fail_third)
-        with pytest.raises(OSError):
+        with pytest.raises(DataFileError, match="cannot write") as e:
             cli.cmd_generate(tiny_run_config(), tmp_path / "o")
+        assert str(calls[2]) in str(e.value) and isinstance(e.value.__cause__, OSError)
         assert list(tmp_path.iterdir()) == []
 
     def test_generate_writes_only_inside_out(self, tmp_path, monkeypatch):

@@ -238,3 +238,72 @@ def test_snapshot_of_a_model_too_big_to_exist_is_a_bad_snapshot(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: io:"), proc.stderr
         assert "bad config snapshot" in lines[0] and "parameter count" in lines[0]
         assert not (tmp_path / "eval").exists()
+
+
+TOO_BIG_TO_GENERATE = {
+    "vocab_size": {"vocab_size": 2 ** 40, "videos": 2},
+    "duration": {"duration": 5e8, "videos": 1, "moments_per_video": 1},
+}
+
+
+@pytest.mark.parametrize("field", sorted(TOO_BIG_TO_GENERATE))
+def test_dataset_too_big_to_make_is_one_config_error_line(tmp_path, field):
+    """A vocabulary or one video's frames of more than the cap's values is
+    one error line, and generate makes no --out. Under the child's 2-GB
+    cap, making either ended in a numpy MemoryError traceback."""
+    cfg = write_config(tmp_path / "big.json", **TOO_BIG_TO_GENERATE[field])
+    proc = run_cli("generate", "--config", cfg, "--out", tmp_path / "data",
+                   check=False, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:"), proc.stderr
+    assert str(cli.MAX_GENERATE_VALUES) in lines[0]
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 2-video dataset and a 1-epoch checkpoint of its config."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = RunConfig(videos=2, epochs=1)
+    cli.cmd_generate(cfg, root / "data")
+    cli.cmd_train(cfg, root / "data", root / "run")
+    return root
+
+
+# (command, the output whose name a directory takes)
+UNWRITABLE = [
+    ("train", cli.TRAIN_LOG_NAME),
+    ("train", cli.CHECKPOINT_NAME + ".tmp"),
+    ("resume", cli.TRAIN_LOG_NAME),
+    ("recognition", "report_recognition.json"),
+    ("nlq", "nlq_outcomes.csv"),
+    ("generate", cli.MANIFEST_NAME),
+    ("generate", cli.VOCAB_NAME),
+]
+
+
+@pytest.mark.parametrize("command, name", UNWRITABLE)
+def test_output_that_cannot_be_written_is_one_io_error_line(tmp_path, trained,
+                                                             command, name):
+    """An output whose name a directory takes ends in one ``error: io:``
+    line naming it, where each ended in an IsADirectoryError traceback."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = write_config(tmp_path / "cfg.json", videos=2, epochs=2)
+    data, checkpoint = trained / "data", trained / "run" / cli.CHECKPOINT_NAME
+    if command == "generate":
+        args = ["generate", "--config", cfg, "--out", out, "--force"]
+    elif command in ("train", "resume"):
+        args = ["train", "--config", cfg, "--data", data, "--out", out]
+        args += ["--checkpoint", checkpoint] if command == "resume" else []
+    else:
+        args = ["eval", "--data", data, "--out", out, "--task", command,
+                "--checkpoint", checkpoint]
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2, proc.stderr
+    # eval may log a class with no positive video before it
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: io:"), proc.stderr
+    assert name in errors[0] and "Traceback" not in proc.stderr
+    assert (out / name).is_dir()

@@ -269,6 +269,43 @@ def test_gelu_matches_closed_form_bit_for_bit():
     np.testing.assert_allclose(a.grad, g * dydx, rtol=1e-15, atol=0)
 
 
+def test_gelu_gradient_is_the_backward_time_expression_byte_for_byte():
+    """The derivative formed in the forward is the expression backward
+    formed when it kept x and phi, operation for operation: same bytes,
+    also where exp underflows (|x| > 8) and at x = 0."""
+    from scipy.special import erf
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((7, 9)) * 4
+    x[0, :5] = [0.0, -0.0, 8.5, -9.0, 40.0]
+    x[1, :3] = [-40.0, 1e-300, 12.0]
+    assert np.any(np.abs(x) > 8) and np.any(x == 0)
+    g = rng.standard_normal(x.shape)
+    phi = erf(x * tt._INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    a = Tensor(x, requires_grad=True)
+    tt.backward(tt.tsum(tt.gelu(a) * Tensor(g)))
+    expected = g * (phi + x * np.exp(-0.5 * x * x) * tt._INV_SQRT2PI)
+    assert a.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("grad_off", ["no_grad", "constant_input"])
+def test_gelu_without_a_node_forms_no_derivative(monkeypatch, grad_off):
+    """Without a node to keep it, gelu calls no exp: eval's forward costs
+    what it did when the derivative was formed in backward."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.exp called")
+
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    monkeypatch.setattr(np, "exp", refuse)
+    if grad_off == "no_grad":
+        with tt.no_grad():
+            y = tt.gelu(Tensor(x, requires_grad=True))
+    else:
+        y = tt.gelu(Tensor(x))
+    assert tt.tape_size() == 0 and not y.requires_grad
+
+
 def _grads_of(build, inputs, upstream):
     """Output data and every input's gradient for ``sum(build() * upstream)``."""
     tt.clear_tape()
@@ -441,6 +478,30 @@ class TestGradientHandOver:
         assert x.grad is handed[0]
 
 
+def _default_step_peaks(steps: int) -> list[int]:
+    """The tracemalloc peak of each of ``steps`` default-width train steps
+    (batch 8, 300-frame chunks, two narrations each) on one model."""
+    vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
+    chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
+              for s in range(8)]
+    assert chunks[0].features.shape[0] == 300
+    config = ModelConfig()
+    model = MomentSetModel(config, init_params(config, np.random.default_rng(1)))
+    optimizer = Adam(model.params)
+    rng = np.random.default_rng(2)
+    samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            tracemalloc.reset_peak()
+            matching.train_step(model, vocab, chunks, samples, optimizer)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 class TestLifetimes:
     """The tape keeps what backward formulas read and no op output, and
     backward frees each node as it passes it."""
@@ -464,6 +525,22 @@ class TestLifetimes:
         np.testing.assert_allclose(a.grad, ds @ b.data.T, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(b.grad, a.data.T @ ds, rtol=1e-12, atol=1e-15)
 
+    def test_gelu_input_is_freed_during_the_forward(self):
+        # gelu's node keeps its derivative, not its input: the linear
+        # output (fc1's, in a block) dies with the caller's last reference
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True)
+        h = tt.linear(x, w, b)
+        alive = weakref.ref(h.data)
+        y = tt.gelu(h)
+        del h
+        assert alive() is None
+        assert tt.tape_size() == 2
+        tt.backward(tt.tsum(y))
+        assert x.grad is not None and w.grad is not None
+
     def test_backward_consumes_the_tape(self):
         x = Tensor(np.arange(4.0), requires_grad=True)
         loss = tt.tsum(tt.sigmoid(x * x))
@@ -476,44 +553,21 @@ class TestLifetimes:
         """A default-width step (batch 8, 300-frame chunks, two narrations
         each) holds only what backward reads: it peaked at 26.1 MB of
         tracemalloc memory when the tape kept every op output until the
-        step ended, and at 16.3 MB since."""
-        vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
-        chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
-                  for s in range(8)]
-        assert chunks[0].features.shape[0] == 300
-        config = ModelConfig()
-        model = MomentSetModel(config, init_params(config, np.random.default_rng(1)))
-        optimizer = Adam(model.params)
-        rng = np.random.default_rng(2)
-        samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
-        tracemalloc.start()
-        try:
-            matching.train_step(model, vocab, chunks, samples, optimizer)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        step ended, and at 16.3 MB once only read arrays were kept (see
+        the next test for gelu's share)."""
+        [peak] = _default_step_peaks(1)
         assert peak < 20e6, f"train step peaked at {peak / 1e6:.1f} MB"
+
+    def test_default_train_step_peak_without_gelu_inputs(self):
+        """The same step with gelu's nodes keeping only their derivative:
+        13.8 MB, where keeping each gelu's input and phi peaked at 16.3 MB."""
+        [peak] = _default_step_peaks(1)
+        assert peak < 15e6, f"train step peaked at {peak / 1e6:.2f} MB"
 
     def test_second_train_step_holds_one_gradient_set(self):
         """At default width (batch 8, 300-frame chunks) the second step
         peaks within 0.5 MB of the first: the first step's gradients
         (2.8 MB) are dropped before the second forward, not held beside it.
         Holding them put the second peak 2.3 MB higher."""
-        vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
-        chunks = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s, video_id=f"v{s}")
-                  for s in range(8)]
-        config = ModelConfig()
-        model = MomentSetModel(config, init_params(config, np.random.default_rng(1)))
-        optimizer = Adam(model.params)
-        rng = np.random.default_rng(2)
-        samples = [matching.sample_chunk_intervals(c, rng) for c in chunks]
-        peaks = []
-        tracemalloc.start()
-        try:
-            for _ in range(2):
-                tracemalloc.reset_peak()
-                matching.train_step(model, vocab, chunks, samples, optimizer)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks = _default_step_peaks(2)
         assert abs(peaks[1] - peaks[0]) < 0.5e6, [f"{p / 1e6:.2f} MB" for p in peaks]
