@@ -18,10 +18,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import datagen, evaluate, matching
-from . import tensor as tt
 from .config import RunConfig, is_finite_number, is_number
 from .errors import ConfigError, DataFileError, MomentSetError, describe, listing
-from .model import MomentPrediction, MomentSetModel, init_params
+from .model import MomentSetModel, init_params
 from .optim import Adam
 from .temporal import TemporalTable
 
@@ -397,13 +396,13 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 # ---------------------------------------------------------------------------
 
 def _video_predictions(model: MomentSetModel, videos, batch_size: int, te: bool):
-    """Yield (video_id, chunks, prediction) for each video in sorted id order.
+    """Yield (video_id, chunks, (visual, te_start, te_end)) for each video in
+    sorted id order.
 
     Whole videos share one stacked forward until it holds at least
     ``batch_size`` chunks or the videos run out; a video is never split.
-    A video's prediction is its rows of the stack, row k chunk k. With
-    ``te`` False the forward skips the temporal head and the TE fields
-    are None.
+    A video's arrays are its rows of the stack, row k chunk k. With ``te``
+    False the forward skips the temporal head and the TE arrays are None.
     """
     vids = sorted(videos)
     start = 0
@@ -413,15 +412,12 @@ def _video_predictions(model: MomentSetModel, videos, batch_size: int, te: bool)
             rows += len(videos[vids[stop]])
             stop += 1
         group = vids[start:stop]
-        with tt.no_grad():
-            pred = model.forward_chunks(
-                [c.features for vid in group for c in videos[vid]], te)
+        pred = model.forward_chunks([c.features for vid in group for c in videos[vid]], te)
         row = 0
         for vid in group:
             chunks = videos[vid]
-            yield vid, chunks, MomentPrediction(
-                *(None if f is None else tt.Tensor(f.data[row:row + len(chunks)])
-                  for f in (pred.visual, pred.te_start, pred.te_end)))
+            yield vid, chunks, tuple(None if f is None else f.data[row:row + len(chunks)]
+                                     for f in (pred.visual, pred.te_start, pred.te_end))
             row += len(chunks)
         start = stop
 
@@ -432,10 +428,9 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
     the score reads no TE, so the forward stops at the visual head."""
     scores = np.zeros((len(videos), vocab.size))
     labels = np.zeros((len(videos), vocab.size), dtype=bool)
-    for r, (vid, _, pred) in enumerate(
+    for r, (vid, _, (visual, _, _)) in enumerate(
             _video_predictions(model, videos, config.batch_size, te=False)):
-        scores[r] = evaluate.recognition_scores(
-            pred.visual.data, vocab.vectors).mean(axis=0)
+        scores[r] = evaluate.recognition_scores(visual, vocab.vectors).mean(axis=0)
         labels[r, manifest["videos"][vid]["labels"]] = True
     return {"task": "recognition",
             "map": evaluate.video_map(scores, labels),
@@ -443,20 +438,19 @@ def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
             "config": config.to_dict()}
 
 
-def decode_video_spans(table: TemporalTable, pred: MomentPrediction, durations,
-                       chunk_seconds: float) -> np.ndarray:
+def decode_video_spans(table: TemporalTable, te_start: np.ndarray, te_end: np.ndarray,
+                       durations, chunk_seconds: float) -> np.ndarray:
     """Every query slot's (start, end) on the global timeline; (B*N) x 2.
 
-    ``pred`` is a video's stacked B x N prediction, row k chunk k of
-    ``durations[k]`` seconds. All start and end embeddings are decoded in
-    one call, re-based by their chunk's offset and swapped where
-    start > end. Rows are chunk-major, then slot order, matching the
+    ``te_start`` and ``te_end`` are a video's stacked B x N x d TE arrays,
+    row k chunk k of ``durations[k]`` seconds. All start and end embeddings
+    are decoded in one call, re-based by their chunk's offset and swapped
+    where start > end. Rows are chunk-major, then slot order, matching the
     flattened visual rows.
     """
-    b, n = pred.te_start.data.shape[:2]
-    t = table.decode_timestamps(
-        np.concatenate([pred.te_start.data, pred.te_end.data], axis=1),
-        np.reshape(durations, (b, 1)))
+    b, n = te_start.shape[:2]
+    t = table.decode_timestamps(np.concatenate([te_start, te_end], axis=1),
+                                np.reshape(durations, (b, 1)))
     spans = np.sort(t.reshape(b, 2, n).transpose(0, 2, 1), axis=-1)
     return ((np.arange(b) * chunk_seconds)[:, None, None] + spans).reshape(-1, 2)
 
@@ -481,10 +475,11 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
     rows = []
     gt_intervals = []
     predictions = []
-    for vid, chunks, preds in _video_predictions(model, videos, config.batch_size, te=True):
+    for vid, chunks, (visual, te_start, te_end) in _video_predictions(
+            model, videos, config.batch_size, te=True):
         meta = manifest["videos"][vid]
-        visual = preds.visual.data.reshape(-1, preds.visual.data.shape[-1])
-        spans = decode_video_spans(model.temporal, preds,
+        visual = visual.reshape(-1, visual.shape[-1])
+        spans = decode_video_spans(model.temporal, te_start, te_end,
                                    [c.duration for c in chunks], meta["chunk_seconds"])
         for n in meta["narrations"]:
             # the outcome row and the recall read only the top max(NLQ_TOPK)

@@ -195,8 +195,9 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
                optimizer) -> StepStats:
     """One optimizer step on a batch of chunks and their interval samples
     (``batch_loss``); ``samples[b]`` is chunk b's, at least one each. The
-    caller picks the chunks and draws the samples (cli.cmd_train). The tape
-    is cleared on every exit, a failed step included.
+    caller picks the chunks and draws the samples (cli.cmd_train). The
+    forward and backward run inside one ``tt.recording()`` block, so a step
+    that fails leaves no tape behind.
 
     The previous step's gradients are dropped before the forward, so a step
     never holds two gradient sets: its peak is the parameters, the moments,
@@ -204,13 +205,11 @@ def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
     This step's gradients stay on the parameters until the next step.
     """
     optimizer.zero_grad()
-    try:
+    with tt.recording():
         loss, sims, assignments = batch_loss(model, vocab, chunks, samples)
         matched, unmatched = _sim_means(sims, assignments)
         tt.backward(loss)
-        optimizer.step()
-    finally:
-        tt.clear_tape()
+    optimizer.step()
     return StepStats(
         loss=loss.item(),
         matched_sim_mean=matched,

@@ -1,24 +1,28 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
-Data lives in numpy arrays. Every differentiable op appends one node to a
-global tape in execution order, so nodes are already topologically sorted
+Data lives in numpy arrays. Ops record only inside ``with recording():``,
+which opens a fresh tape for the block; anywhere else, as in eval, no op
+records a node. Inside it, every differentiable op appends one node to
+the tape in execution order, so nodes are already topologically sorted
 and ``backward`` is a single reverse sweep. A node keeps only what its
 backward formula reads, and gradient slots in place of its output and
 input tensors, so an intermediate array lives only while the caller or a
 later node's formula holds it. ``backward`` consumes the tape, freeing
-each node as the sweep passes it. The tape is per-process; ``clear_tape``
-empties it after a step that fails before ``backward``.
+each node as the sweep passes it; leaving the block drops the nodes of a
+step that failed before it. The current tape is a context variable, so
+each thread (and each ``contextvars`` context) sees its own.
 """
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -79,8 +83,9 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_TAPE: list[_Node] = []
-_GRAD_ENABLED = True
+# the nodes of the tape open in this context; None outside recording()
+_TAPE: contextvars.ContextVar[list[_Node] | None] = contextvars.ContextVar(
+    "momentset_tape", default=None)
 
 
 def _as_tensor(x) -> Tensor:
@@ -89,7 +94,7 @@ def _as_tensor(x) -> Tensor:
 
 def _records(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on ``inputs`` puts a node on the tape."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in inputs)
+    return _TAPE.get() is not None and any(t.requires_grad for t in inputs)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
@@ -97,29 +102,35 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable):
     if _records(inputs):
         out.requires_grad = True
         out.slot = _Slot()
-        _TAPE.append(_Node(out.slot, tuple(_slot_of(t) for t in inputs), backward_fn))
+        _TAPE.get().append(_Node(out.slot, tuple(_slot_of(t) for t in inputs), backward_fn))
     return out
 
 
 def tape_size() -> int:
-    return len(_TAPE)
-
-
-def clear_tape():
-    """Empty the tape; ``backward`` leaves it empty, so this is for a step
-    that fails before it."""
-    _TAPE.clear()
+    """The number of nodes on the current tape; 0 outside recording()."""
+    tape = _TAPE.get()
+    return 0 if tape is None else len(tape)
 
 
 @contextlib.contextmanager
-def no_grad():
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def _current_tape(tape: list[_Node] | None):
+    token = _TAPE.set(tape)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _TAPE.reset(token)
+
+
+def recording():
+    """Record ops on a fresh tape for the block; its nodes are dropped on
+    leaving it."""
+    return _current_tape([])
+
+
+def no_grad():
+    """Record nothing for the block, even inside recording(). The package
+    itself needs no such block: eval opens no tape."""
+    return _current_tape(None)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -134,7 +145,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def backward(loss: Tensor):
     """Populate .grad of every reachable requires_grad leaf (a tensor no op
-    produced, such as a parameter), consuming the tape.
+    produced, such as a parameter), consuming the current tape. Outside
+    ``recording()`` there is no tape to sweep, and it raises ContractError.
 
     The sweep pops each node as it reaches it, so the node's formula and
     all it saved are freed before the next node runs, and the tape is empty
@@ -150,11 +162,14 @@ def backward(loss: Tensor):
     input (the ``+=`` would write into both). So backward functions make
     no defensive copies.
     """
+    tape = _TAPE.get()
+    if tape is None:
+        raise ContractError("backward outside recording(): there is no tape to sweep")
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     _slot_of(loss).grad = np.ones_like(loss.data)
-    while _TAPE:
-        node = _TAPE.pop()
+    while tape:
+        node = tape.pop()
         g_out = node.out.grad
         if g_out is None:
             continue
@@ -283,8 +298,9 @@ def exp(a: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """``x * Φ(x)``, Φ the standard normal CDF. A recorded node keeps only
     the derivative ``Φ + x * pdf(x)``, formed in the forward, so ``x`` and
-    Φ are freed once the forward moves on; without a node (``no_grad``, or
-    an input that needs no gradient) no derivative is formed."""
+    Φ are freed once the forward moves on; without a node (outside
+    ``recording()``, or an input that needs no gradient) no derivative is
+    formed."""
     x = a.data
     phi = erf(x * _INV_SQRT2)  # phi = 0.5 * (1 + erf(x / sqrt 2)), in place
     phi += 1.0

@@ -10,15 +10,14 @@ def finite_diff_check(build_loss, params, rng, probes_per_param=3,
     differences at randomly probed entries of each parameter.
 
     ``build_loss`` must rebuild the graph from the parameters' current
-    .data on every call and return a scalar Tensor.
+    .data on every call and return a scalar Tensor. The analytic pass runs
+    inside ``tt.recording()``; the probes run outside it and record nothing.
     """
-    tt.clear_tape()
     for p in params:
         p.grad = None
-    loss = build_loss()
-    tt.backward(loss)
+    with tt.recording():
+        tt.backward(build_loss())
     grads = [None if p.grad is None else p.grad.copy() for p in params]
-    tt.clear_tape()
 
     worst = 0.0
     for p, g in zip(params, grads):
@@ -29,16 +28,13 @@ def finite_diff_check(build_loss, params, rng, probes_per_param=3,
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + h
-            with tt.no_grad():
-                up = build_loss().item()
+            up = build_loss().item()
             flat[i] = orig - h
-            with tt.no_grad():
-                down = build_loss().item()
+            down = build_loss().item()
             flat[i] = orig
             fd = (up - down) / (2 * h)
             an = g.reshape(-1)[i]
             rel = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
             worst = max(worst, rel)
             assert rel < tol, f"grad mismatch: analytic {an}, fd {fd}, rel {rel}"
-    tt.clear_tape()
     return worst

@@ -13,7 +13,6 @@ import pytest
 from helpers import finite_diff_check
 from momentset import checkpoint as ckpt
 from momentset import cli, datagen, evaluate, matching
-from momentset import tensor as tt
 from momentset.config import RunConfig
 from momentset.datagen import ConceptVocabulary, Narration
 from momentset.model import ModelConfig, MomentSetModel, init_params
@@ -109,7 +108,6 @@ def test_acceptance_2_gradient_integrity():
     rng = np.random.default_rng(3)
     samples = matching.sample_chunk_intervals(chunk, rng)
     _, _, assignments = matching.batch_loss(model, vocab, [chunk], [samples])
-    tt.clear_tape()
 
     groups = {
         "conv": ["conv.w", "conv.b"],
@@ -187,21 +185,20 @@ def test_acceptance_4_overfit_convergence(overfit_run):
              for c in chunks if c.narrations}
     matched = [[], [], []]
     unmatched = [[], [], []]
-    with tt.no_grad():
-        for chunk in chunks:
-            if not chunk.narrations:
-                continue
-            pred = model.forward(chunk.features)
-            gt = matching.chunk_ground_truth(
-                model, vocab, chunk, fixed[chunk.video_id])
-            sims = matching.similarity_matrices(pred, gt)
-            assignment = matching.hungarian(matching.build_cost(sims))
-            cols = np.arange(len(assignment))
-            for ch, s in enumerate(sims):
-                mask = np.zeros(s.data.shape, dtype=bool)
-                mask[assignment, cols] = True
-                matched[ch].extend(s.data[mask])
-                unmatched[ch].extend(s.data[~mask])
+    for chunk in chunks:
+        if not chunk.narrations:
+            continue
+        pred = model.forward(chunk.features)
+        gt = matching.chunk_ground_truth(
+            model, vocab, chunk, fixed[chunk.video_id])
+        sims = matching.similarity_matrices(pred, gt)
+        assignment = matching.hungarian(matching.build_cost(sims))
+        cols = np.arange(len(assignment))
+        for ch, s in enumerate(sims):
+            mask = np.zeros(s.data.shape, dtype=bool)
+            mask[assignment, cols] = True
+            matched[ch].extend(s.data[mask])
+            unmatched[ch].extend(s.data[~mask])
     m_means = [float(np.mean(v)) for v in matched]
     u_means = [float(np.mean(v)) for v in unmatched]
     ratio = final_loss / first_loss

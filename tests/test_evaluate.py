@@ -143,7 +143,9 @@ class TestNlqInfer:
         visual = np.eye(2, 6)
         pred = pred_from(visual, te_start / np.linalg.norm(te_start, axis=1, keepdims=True),
                          te_end / np.linalg.norm(te_end, axis=1, keepdims=True))
-        spans = cli.decode_video_spans(table, stack([pred]), [40.0], 40.0)
+        video = stack([pred])
+        spans = cli.decode_video_spans(table, video.te_start.data, video.te_end.data,
+                                       [40.0], 40.0)
         cands = cli.nlq_video_candidates(visual, spans, visual[0])
         assert [(s, e) for _, s, e in cands] == [(10.0, 30.0), (0.0, 40.0)]
 
@@ -158,7 +160,9 @@ class TestNlqInfer:
                            rng.standard_normal((5, 6)), rng.standard_normal((5, 6)))
                  for _ in durations]
         visual = np.vstack([p.visual.data for p in preds])
-        spans = cli.decode_video_spans(table, stack(preds), durations, chunk_seconds)
+        video = stack(preds)
+        spans = cli.decode_video_spans(table, video.te_start.data, video.te_end.data,
+                                       durations, chunk_seconds)
         for q in [basis[0], basis[2], unit_rows(rng, 1, 6)[0]]:
             expect = []
             for k, (pred, duration) in enumerate(zip(preds, durations)):

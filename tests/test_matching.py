@@ -32,13 +32,6 @@ def random_gt(rng, m=3, c=6, d=8):
                           Tensor(unit_rows(rng, m, d)))
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    tt.clear_tape()
-    yield
-    tt.clear_tape()
-
-
 class TestSimilarities:
     def test_identical_and_orthogonal(self):
         e = np.eye(3)[:2]
@@ -213,12 +206,10 @@ class TestChunkLoss:
         loss, _, (assignment,) = matching.batch_loss(model, vocab, [chunk], [samples])
         assert np.isfinite(loss.item()) and loss.item() > 0
         assert len(set(assignment.tolist())) == len(chunk.narrations)
-        tt.clear_tape()
 
     def test_temperature_gradient_finite_difference(self, setup):
         model, vocab, chunk, samples = setup
         _, _, assignments = matching.batch_loss(model, vocab, [chunk], [samples])
-        tt.clear_tape()
         rng = np.random.default_rng(5)
         finite_diff_check(
             lambda: matching.batch_loss(
@@ -256,14 +247,14 @@ class TestTrainStep:
         # per-chunk reference: samples drawn in chunk order from the same rng
         rng = np.random.default_rng(7)
         total = None
-        for chunk in chunks:
-            samples = matching.sample_chunk_intervals(chunk, rng)
-            loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
-            total = loss if total is None else total + loss
-        mean = tt.scale(total, 1.0 / len(chunks))
-        tt.backward(mean)
+        with tt.recording():
+            for chunk in chunks:
+                samples = matching.sample_chunk_intervals(chunk, rng)
+                loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
+                total = loss if total is None else total + loss
+            mean = tt.scale(total, 1.0 / len(chunks))
+            tt.backward(mean)
         expect = {k: p.grad.copy() for k, p in model.params.items()}
-        tt.clear_tape()
 
         class RecordGrads:
             def zero_grad(self):
@@ -298,11 +289,11 @@ class TestTrainStep:
         samples = [matching.sample_chunk_intervals(chunk, np.random.default_rng(3))]
         with pytest.raises(NumericError):
             matching.train_step(model, vocab, [chunk], samples, NanGradAdam(model.params))
-        assert tt.tape_size() == 0
+        assert tt._TAPE.get() is None
         model.params["queries"].data[:] = np.nan  # NaN cost matrix
         with pytest.raises(NumericError, match="non-finite"):
             matching.train_step(model, vocab, [chunk], samples, Adam(model.params))
-        assert tt.tape_size() == 0
+        assert tt._TAPE.get() is None
 
     def test_previous_gradients_are_dropped_before_the_forward(self, monkeypatch):
         """While the second of two steps runs its forward, no parameter
@@ -332,7 +323,7 @@ class TestTrainStep:
 
 class RecordGrads:
     """Optimizer stand-in: keeps the gradients and the tape size at step
-    (after backward, which consumes the tape)."""
+    (0: backward consumes the tape, and the step runs after its block)."""
 
     def __init__(self, params):
         self.params = params
@@ -374,14 +365,14 @@ def test_batch_of_mixed_lengths_and_narration_counts_equals_mean_of_chunk_losses
 
     rng = np.random.default_rng(7)
     total = None
-    for chunk in chunks:
-        samples = matching.sample_chunk_intervals(chunk, rng)
-        loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
-        total = loss if total is None else total + loss
-    mean = tt.scale(total, 1.0 / len(chunks))
-    tt.backward(mean)
+    with tt.recording():
+        for chunk in chunks:
+            samples = matching.sample_chunk_intervals(chunk, rng)
+            loss = matching.batch_loss(model, vocab, [chunk], [samples])[0]
+            total = loss if total is None else total + loss
+        mean = tt.scale(total, 1.0 / len(chunks))
+        tt.backward(mean)
     expect = {k: p.grad.copy() for k, p in model.params.items()}
-    tt.clear_tape()
 
     opt = RecordGrads(model.params)
     rng = np.random.default_rng(7)
@@ -444,15 +435,14 @@ def test_chunk_ground_truth_is_the_batch_of_one_row(setup):
     """The per-chunk path the benchmark's matching check uses: M x ... sets,
     equal to the batch's rows, and empty for a chunk with no samples."""
     model, vocab, chunk, samples = setup
-    with tt.no_grad():
-        gt = matching.chunk_ground_truth(model, vocab, chunk, samples)
-        batch = matching.batch_ground_truth(model, vocab, [chunk], [samples])
-        for one, row in ((gt.lang, batch.lang), (gt.te_start, batch.te_start),
-                         (gt.te_end, batch.te_end)):
-            assert one.data.shape == row.data.shape[1:]
-            assert one.data.tobytes() == row.data[0].tobytes()
-        empty = matching.chunk_ground_truth(model, vocab, chunk, [])
-        pred = model.forward(chunk.features)
-        sims = matching.similarity_matrices(pred, empty)
+    gt = matching.chunk_ground_truth(model, vocab, chunk, samples)
+    batch = matching.batch_ground_truth(model, vocab, [chunk], [samples])
+    for one, row in ((gt.lang, batch.lang), (gt.te_start, batch.te_start),
+                     (gt.te_end, batch.te_end)):
+        assert one.data.shape == row.data.shape[1:]
+        assert one.data.tobytes() == row.data[0].tobytes()
+    empty = matching.chunk_ground_truth(model, vocab, chunk, [])
+    pred = model.forward(chunk.features)
+    sims = matching.similarity_matrices(pred, empty)
     assert sims[0].data.shape == (4, 0)
     assert matching.hungarian(matching.build_cost(sims)).size == 0

@@ -23,13 +23,6 @@ def make(config, seed=0):
     return MomentSetModel(config, init_params(config, np.random.default_rng(seed)))
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    tt.clear_tape()
-    yield
-    tt.clear_tape()
-
-
 class TestConfig:
     def test_head_dim_mismatch(self):
         with pytest.raises(ConfigError, match="head_dim"):
@@ -152,11 +145,11 @@ class TestEncodeDecode:
             return lin("wo", tt.cat(outs, axis=1))
 
         def run(build):
-            tt.clear_tape()
             for t in (q_in, kv_in, *(p[n] for n in names)):
                 t.grad = None
-            out = build()
-            tt.backward(tt.tsum(tt.sigmoid(out)))
+            with tt.recording():
+                out = build()
+                tt.backward(tt.tsum(tt.sigmoid(out)))
             return out.data, [t.grad.copy() for t in (q_in, kv_in, *(p[n] for n in names))]
 
         got, got_grads = run(lambda: model._attention("enc.0.attn", q_in, kv_in))

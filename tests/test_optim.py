@@ -29,10 +29,9 @@ def test_converges_on_quadratic():
     opt = Adam({"p": p}, lr=0.1)
     for _ in range(100):
         opt.zero_grad()
-        loss = p * p
-        tt.backward(loss)
+        with tt.recording():
+            tt.backward(p * p)
         opt.step()
-        tt.clear_tape()
     assert abs(float(p.data)) < 0.05
 
 

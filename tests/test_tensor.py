@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -9,7 +10,7 @@ from helpers import finite_diff_check
 from momentset import matching
 from momentset import tensor as tt
 from momentset.datagen import ConceptVocabulary, generate_video
-from momentset.errors import NumericError, ShapeError
+from momentset.errors import ContractError, NumericError, ShapeError
 from momentset.model import ModelConfig, MomentSetModel, init_params
 from momentset.optim import Adam
 from momentset.tensor import Tensor
@@ -17,9 +18,10 @@ from momentset.tensor import Tensor
 
 @pytest.fixture(autouse=True)
 def fresh_tape():
-    tt.clear_tape()
-    yield
-    tt.clear_tape()
+    """Every test here runs inside an open tape, so the tests of what does
+    not record (no_grad, a constant input) check it where ops do record."""
+    with tt.recording():
+        yield
 
 
 class TestMatmul:
@@ -68,7 +70,7 @@ class TestMatmul:
         const = Tensor(rng.standard_normal((2, 3, 4)))
         w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         out = tt.matmul(const, w)
-        g_const, g_w = tt._TAPE[-1].backward_fn(np.ones(out.data.shape))
+        g_const, g_w = tt._TAPE.get()[-1].backward_fn(np.ones(out.data.shape))
         assert g_const is None
         np.testing.assert_allclose(
             g_w, const.data.reshape(-1, 4).T @ np.ones((6, 5)), atol=1e-12)
@@ -308,13 +310,12 @@ def test_gelu_without_a_node_forms_no_derivative(monkeypatch, grad_off):
 
 def _grads_of(build, inputs, upstream):
     """Output data and every input's gradient for ``sum(build() * upstream)``."""
-    tt.clear_tape()
     for t in inputs:
         t.grad = None
-    out = build()
-    tt.backward(tt.tsum(out * Tensor(upstream)))
+    with tt.recording():
+        out = build()
+        tt.backward(tt.tsum(out * Tensor(upstream)))
     grads = [None if t.grad is None else t.grad.copy() for t in inputs]
-    tt.clear_tape()
     return out.data.copy(), grads
 
 
@@ -466,7 +467,7 @@ class TestGradientHandOver:
         rng = np.random.default_rng(33)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         y = tt.scale(x, 2.0)
-        node = tt._TAPE[-1]
+        node = tt._TAPE.get()[-1]
         scale_bwd, handed = node.backward_fn, []
 
         def spy(g):
@@ -571,3 +572,58 @@ class TestLifetimes:
         Holding them put the second peak 2.3 MB higher."""
         peaks = _default_step_peaks(2)
         assert abs(peaks[1] - peaks[0]) < 0.5e6, [f"{p / 1e6:.2f} MB" for p in peaks]
+
+
+class TestRecording:
+    """Ops record only inside ``recording()``, on the tape of the context
+    that opened it."""
+
+    def test_backward_without_a_tape_is_refused(self):
+        """Under no_grad nothing records, so a backward there has nothing to
+        sweep: it raises, and the optimizer does not step."""
+        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = Adam({"p": p})
+        with tt.no_grad():
+            loss = tt.tsum(p * p)
+            with pytest.raises(ContractError, match=r"recording\(\)"):
+                tt.backward(loss)
+                opt.step()
+        assert opt.step_count == 0 and p.grad is None
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+
+    def test_a_forward_on_another_thread_records_nothing(self):
+        """A default forward on a second thread, while this thread's tape is
+        open, puts no node on it; the backward's gradients are those of a
+        single-thread run, byte for byte."""
+        vocab = ConceptVocabulary.generate(12, 64, np.random.default_rng(0))
+        features = [generate_video(vocab, 2, 50.0, 6, 0.1, rng_seed=s,
+                                   video_id=f"v{s}").features for s in range(2)]
+        config = ModelConfig()
+        model = MomentSetModel(config, init_params(config, np.random.default_rng(1)))
+
+        def gradients(other_thread: bool):
+            for p in model.params.values():
+                p.grad = None
+            with tt.recording():
+                pred = model.forward_chunks(features)
+                nodes = tt.tape_size()
+                if other_thread:
+                    other = []
+                    thread = threading.Thread(
+                        target=lambda: other.append(model.forward_chunks(features)))
+                    thread.start()
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                    assert tt.tape_size() == nodes
+                    [pred_b] = other
+                    assert not any(f.requires_grad
+                                   for f in (pred_b.visual, pred_b.te_start, pred_b.te_end))
+                rng = np.random.default_rng(2)
+                v, ts, te = (tt.tsum(f * Tensor(rng.standard_normal(f.data.shape)))
+                             for f in (pred.visual, pred.te_start, pred.te_end))
+                tt.backward(v + ts + te)
+            # the loss's own parameters are not on the forward's path
+            return {k: p.grad.tobytes() for k, p in model.params.items()
+                    if not k.startswith("loss.")}
+
+        assert gradients(other_thread=True) == gradients(other_thread=False)
