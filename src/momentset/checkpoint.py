@@ -14,18 +14,17 @@ per-tensor name and shape table) is refused with FormatError.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .config import RunConfig
-from .errors import ConfigError, DataFileError, FormatError
+from .errors import ConfigError, DataFileError
 from .model import ModelConfig, MomentSetModel, param_shapes
 from .optim import Adam
 
@@ -48,30 +47,13 @@ class CheckpointData:
     tensors: dict[str, np.ndarray]
 
 
-@contextlib.contextmanager
-def replace_file(path):
-    """A binary file to write in place of ``path``: it is a temp file beside
-    ``path``, renamed over it when the block ends cleanly and removed when
-    the block raises, so a failed write leaves ``path`` as it was."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        # the temp file may not exist, or its name be taken by a directory
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
                     optimizer: Adam, epochs_done: int):
     arrays = [p.data for p in model.params.values()]
     for k in model.params:
         arrays += optimizer.m[k], optimizer.v[k]
     cfg_bytes = config.to_json().encode("utf-8")
-    with replace_file(path) as f:
+    with fileio.replace_file(path) as f:
         f.write(struct.pack("<4sII", MAGIC, VERSION, len(cfg_bytes)))
         f.write(cfg_bytes)
         f.write(struct.pack("<QQ", epochs_done, optimizer.step_count))
@@ -79,14 +61,6 @@ def save_checkpoint(path, config: RunConfig, model: MomentSetModel,
             # a C-contiguous <f8 array is its own payload: write its
             # buffer, no bytes copy
             f.write(np.ascontiguousarray(arr, dtype="<f8").data)
-
-
-def _unpack(f, size: int, fmt: str, path, what: str):
-    """Read and unpack fmt from f after checking that the file holds all of it."""
-    n = struct.calcsize(fmt)
-    if size - f.tell() < n:
-        raise FormatError(f"{path}: truncated {what}")
-    return struct.unpack(fmt, f.read(n))
 
 
 def _layout(snapshot: dict, payload_bytes: int, path) -> list[tuple[str, tuple]]:
@@ -119,34 +93,23 @@ def load_checkpoint(path, moments: bool = True) -> CheckpointData:
     With ``moments=False`` the read stops after the model parameters, so
     ``tensors`` holds the model only.
     """
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise DataFileError(f"{path}: unreadable checkpoint ({e.strerror})") from e
-    with f:
-        size = os.fstat(f.fileno()).st_size
-        magic, version, cfg_len = _unpack(f, size, "<4sII", path, "header")
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"{path}: version {version}, expected {VERSION}")
-        (cfg_bytes,) = _unpack(f, size, f"<{cfg_len}s", path, "config block")
+    with fileio.open_read(path, "checkpoint") as f:
+        (cfg_len,) = fileio.header(f, MAGIC, VERSION, "I", "truncated header")
+        (cfg_bytes,) = fileio.unpack(f, f"{cfg_len}s", "truncated config block")
         try:
             config = json.loads(cfg_bytes.decode("utf-8"))
         except ValueError as e:  # UnicodeDecodeError and JSONDecodeError
             raise DataFileError(f"{path}: unreadable config block ({e})") from e
         if not isinstance(config, dict):
             raise DataFileError(f"{path}: config block is not a JSON object")
-        epochs_done, step = _unpack(f, size, "<QQ", path, "counters")
-        layout = _layout(config, size - f.tell(), path)
+        epochs_done, step = fileio.unpack(f, "QQ", "truncated counters")
+        layout = _layout(config, fileio.left(f), path)
         if moments:
             layout += [(f"opt.{m}.{name}", shape) for name, shape in layout for m in "mv"]
         tensors: dict[str, np.ndarray] = {}
         for name, shape in layout:
-            arr = np.empty(shape, dtype="<f8")
-            if f.readinto(arr) != arr.nbytes:
-                raise FormatError(f"{path}: short read for '{name}'")
-            tensors[name] = arr
+            tensors[name] = np.empty(shape, dtype="<f8")
+            fileio.readinto(f, tensors[name], f"short read for '{name}'")
     return CheckpointData(config, epochs_done, step, tensors)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import datagen, evaluate, matching
+from . import datagen, evaluate, fileio, matching
 from .config import RunConfig, is_finite_number, is_number
 from .errors import ConfigError, DataFileError, MomentSetError, describe, listing
 from .model import MomentSetModel, init_params
@@ -57,8 +57,8 @@ def _make_out_dir(out_dir: Path) -> None:
 @contextlib.contextmanager
 def _writing(path: Path):
     """Raise DataFileError naming ``path`` for an OSError in the block (its
-    name taken by a directory, say), so that an output file that cannot be
-    written is one ``error: io:`` line."""
+    name taken by a directory, say), so that a log that cannot be written
+    is one ``error: io:`` line, as a whole file is (fileio.replace_file)."""
     try:
         yield
     except OSError as e:
@@ -74,8 +74,7 @@ def _store_video(record: datagen.VideoRecord, chunk_seconds: float, root: Path) 
     paths = []
     for k, chunk in enumerate(datagen.chunk_video(record, chunk_seconds)):
         rel = f"chunks/{record.video_id}_{k:03d}.maln"
-        with _writing(root / rel):
-            datagen.store(chunk, root / rel)
+        datagen.store(chunk, root / rel)
         paths.append(rel)
     return {
         "duration": record.duration,
@@ -133,8 +132,7 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
 
     _make_out_dir(out_dir / "chunks")
     try:
-        with _writing(out_dir / VOCAB_NAME):
-            vocab.save(out_dir / VOCAB_NAME)
+        vocab.save(out_dir / VOCAB_NAME)
         manifest = {"version": 1, "vocab": VOCAB_NAME,
                     "config": config.to_dict(), "videos": {}}
         # at most ``window`` videos are held at once; no thread starts at 1
@@ -146,7 +144,7 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
                     manifest["videos"][record.video_id] = _store_video(
                         record, config.chunk_seconds, out_dir)
         manifest_path = out_dir / MANIFEST_NAME
-        with _writing(manifest_path), open(manifest_path, "w") as f:
+        with fileio.replace_file(manifest_path, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
             f.write("\n")
         # a forced generate over an older dataset drops the chunks it does not list
@@ -292,11 +290,7 @@ def cut_train_log(path: Path, step: int):
     The cut copy is written beside the log and renamed into place."""
     kept = []  # the header, then the rows
     later = False  # whether a complete row after ``step`` ended the cut
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise DataFileError(f"{path}: unreadable train log ({e.strerror})") from e
-    with f:
+    with fileio.open_read(path, "train log") as f:
         for line in f:
             # a row cut off mid-write has no newline
             if kept and (not line.endswith(b"\n") or _row_step(line, path) > step):
@@ -307,7 +301,7 @@ def cut_train_log(path: Path, step: int):
     if _row_step(kept[-1], path) != step if len(kept) > 1 else not later:
         raise DataFileError(f"{path}: its complete rows stop short of the "
                             f"checkpoint's step {step}")
-    with _writing(path), ckpt.replace_file(path) as f:
+    with fileio.replace_file(path) as f:
         f.writelines(kept)
 
 
@@ -357,15 +351,13 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 
     ckpt_path = out_dir / CHECKPOINT_NAME
     mode = "a" if resume_from is not None and log_path.exists() else "w"
-    # the log's writes are typed one by one, as an OSError of a save is not
-    # the log's
-    with _writing(log_path):
-        f = open(log_path, mode, newline="")
+    # a chunk that cannot be opened and a failed save raise typed errors of
+    # their own, so an OSError here is the log's
+    with _writing(log_path), open(log_path, mode, newline="") as f:
         writer = csv.writer(f)
         if mode == "w":
             writer.writerow(["step", "loss", "matched_sim_mean",
                              "unmatched_sim_mean", "t", "b"])
-    with f:
         for epoch in range(start_epoch, config.epochs):
             rng = np.random.default_rng([config.seed, 3, epoch])
             order = rng.permutation(len(chunks))
@@ -377,17 +369,14 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
                 stats = matching.train_step(model, vocab, batch, samples, optimizer)
                 # a row's step is the optimizer's, so a resume continues
                 # from the checkpoint's step, on any dataset
-                with _writing(log_path):
-                    writer.writerow([optimizer.step_count, f"{stats.loss:.10g}",
-                                     f"{stats.matched_sim_mean:.10g}",
-                                     f"{stats.unmatched_sim_mean:.10g}",
-                                     f"{stats.temperature:.10g}",
-                                     f"{stats.bias:.10g}"])
+                writer.writerow([optimizer.step_count, f"{stats.loss:.10g}",
+                                 f"{stats.matched_sim_mean:.10g}",
+                                 f"{stats.unmatched_sim_mean:.10g}",
+                                 f"{stats.temperature:.10g}",
+                                 f"{stats.bias:.10g}"])
             # the log on disk covers every step that the checkpoint holds
-            with _writing(log_path):
-                f.flush()
-            with _writing(ckpt_path):
-                ckpt.save_checkpoint(ckpt_path, config, model, optimizer, epoch + 1)
+            f.flush()
+            ckpt.save_checkpoint(ckpt_path, config, model, optimizer, epoch + 1)
     return ckpt_path
 
 
@@ -504,7 +493,7 @@ def eval_nlq(config: RunConfig, model: MomentSetModel, vocab,
             recall[str(k)][str(iou)] = evaluate.nlq_recall(
                 gt_intervals, predictions, k, iou)
     if outcomes_path is not None:
-        with _writing(outcomes_path), open(outcomes_path, "w", newline="") as f:
+        with fileio.replace_file(outcomes_path, "w", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
@@ -543,7 +532,7 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
         report = eval_nlq(config, model, vocab, manifest, videos,
                           outcomes_path=out_dir / "nlq_outcomes.csv")
     report_path = out_dir / f"report_{task}.json"
-    with _writing(report_path), open(report_path, "w") as f:
+    with fileio.replace_file(report_path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
     return report

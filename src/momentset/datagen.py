@@ -11,7 +11,6 @@ frames only when they are used.
 """
 from __future__ import annotations
 
-import os
 import struct
 import zipfile
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import fileio
 from .errors import DataFileError, FormatError, GenerationError
 
 MAGIC = b"MALN"
@@ -44,10 +44,6 @@ class VideoRecord:
     fps: int
     features: np.ndarray          # T x C, float32, unit rows
     narrations: list[Narration] = field(default_factory=list)
-
-    @property
-    def num_frames(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass
@@ -89,7 +85,8 @@ class ConceptVocabulary:
         return cls(vectors)
 
     def save(self, path):
-        np.savez(path, vectors=self.vectors)
+        with fileio.replace_file(path) as f:
+            np.savez(f, vectors=self.vectors)
 
     @classmethod
     def load(cls, path) -> "ConceptVocabulary":
@@ -235,58 +232,39 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
 # ---------------------------------------------------------------------------
 
 def store(record: VideoRecord, path):
-    with open(path, "wb") as f:
-        T, C = record.features.shape
+    T, C = record.features.shape
+    with fileio.replace_file(path) as f:
         f.write(struct.pack("<4sIII", MAGIC, VERSION, T, C))
         # the array's buffer, no bytes copy (and no cast of float32 features)
         f.write(np.ascontiguousarray(record.features, dtype="<f4").data)
 
 
-def _open(path):
-    try:
-        return open(path, "rb")
-    except OSError as e:
-        raise DataFileError(f"{path}: unreadable chunk ({e.strerror})") from e
-
-
-def _read_header(f, path) -> tuple[int, int]:
+def _shape(f) -> tuple[int, int]:
     """The (T, C) of an open chunk file, after checking its magic, its
     version and that the file is exactly as long as they say."""
-    size = os.fstat(f.fileno()).st_size
-    head = f.read(16)
-    if len(head) < 16:
-        raise FormatError(f"{path}: shorter than the 16-byte header")
-    magic, version, T, C = struct.unpack("<4sIII", head)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"{path}: version {version}, expected {VERSION}")
-    end = 16 + T * C * 4
-    if size < end:
-        raise FormatError(f"{path}: truncated feature payload")
-    if size != end:
-        raise DataFileError(
-            f"{path}: {size - end} trailing bytes after the feature payload")
+    T, C = fileio.header(f, MAGIC, VERSION, "II", "shorter than the 16-byte header")
+    extra = fileio.left(f) - T * C * 4
+    if extra < 0:
+        raise FormatError(f"{f.name}: truncated feature payload")
+    if extra:
+        raise DataFileError(f"{f.name}: {extra} trailing bytes after the feature payload")
     return T, C
 
 
 def read_shape(path) -> tuple[int, int]:
     """A chunk file's (T, C), from its header and its size; no frame is
     read. Raises what ``load`` raises for a bad header or size."""
-    with _open(path) as f:
-        return _read_header(f, path)
+    with fileio.open_read(path, "chunk") as f:
+        return _shape(f)
 
 
 def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
     """Read one chunk's frames, as a record with an empty narration list. Raises
     FormatError naming the file for a bad header or a short payload, and
     DataFileError for an unreadable file or trailing bytes."""
-    with _open(path) as f:
-        T, C = _read_header(f, path)
-        feats = np.empty((T, C), dtype="<f4")
-        # the file can shrink between its fstat and this read
-        if f.readinto(feats) != feats.nbytes:
-            raise FormatError(f"{path}: truncated feature payload")
+    with fileio.open_read(path, "chunk") as f:
+        feats = np.empty(_shape(f), dtype="<f4")
+        fileio.readinto(f, feats, "truncated feature payload")
     return VideoRecord(video_id, duration, fps, feats)
 
 

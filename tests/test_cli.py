@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from momentset import checkpoint as ckpt
-from momentset import cli, datagen, matching
+from momentset import cli, datagen, fileio, matching
 from momentset import tensor as tt
 from momentset.config import RunConfig
 from momentset.errors import (ConfigError, DataFileError, FormatError, MomentSetError,
@@ -446,8 +446,9 @@ class TestTrain:
                 raise OSError("no space left on device")
 
         opt.v[next(reversed(model.params))] = FailingArray()
-        with pytest.raises(OSError, match="no space"):
+        with pytest.raises(DataFileError, match="k.malc: cannot write.*no space") as e:
             ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=2)
+        assert isinstance(e.value.__cause__, OSError)
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["k.malc"]
 
@@ -574,7 +575,7 @@ class TestTrain:
         assert log.read_bytes() == (full / cli.TRAIN_LOG_NAME).read_bytes()
         assert (part / cli.CHECKPOINT_NAME).read_bytes() == \
             (full / cli.CHECKPOINT_NAME).read_bytes()
-        assert not (part / f"{cli.TRAIN_LOG_NAME}.tmp").exists()
+        assert not list(part.glob("*.tmp"))
 
 
 @pytest.fixture(scope="module")
@@ -1236,7 +1237,8 @@ class TestMainEntry:
         def fail_third(record, path):
             calls.append(path)
             if len(calls) == 3:
-                raise OSError(28, "No space left on device")
+                with fileio.replace_file(path):
+                    raise OSError(28, "No space left on device")
             store(record, path)
 
         monkeypatch.setattr(datagen, "store", fail_third)

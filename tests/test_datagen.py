@@ -63,7 +63,7 @@ class TestVocabulary:
 class TestGenerateVideo:
     def test_zero_noise_in_moment_frames_hit_concept(self, vocab):
         rec = datagen.generate_video(vocab, 3, 60.0, 6, 0.0, rng_seed=1)
-        times = (np.arange(rec.num_frames) + 0.5) / rec.fps
+        times = (np.arange(rec.features.shape[0]) + 0.5) / rec.fps
         for n in rec.narrations:
             inside = (times >= n.a) & (times <= n.b)
             assert inside.any()
@@ -72,7 +72,7 @@ class TestGenerateVideo:
 
     def test_background_cosine_small(self, vocab):
         rec = datagen.generate_video(vocab, 1, 500.0, 6, 0.0, rng_seed=2)
-        times = (np.arange(rec.num_frames) + 0.5) / rec.fps
+        times = (np.arange(rec.features.shape[0]) + 0.5) / rec.fps
         n = rec.narrations[0]
         outside = (times < n.a) | (times > n.b)
         cos = rec.features[outside] @ vocab.vectors.T
@@ -103,7 +103,7 @@ class TestGenerateVideo:
 
     def test_nearest_concept_classifier_perfect_at_zero_noise(self, vocab):
         rec = datagen.generate_video(vocab, 4, 80.0, 6, 0.0, rng_seed=7)
-        times = (np.arange(rec.num_frames) + 0.5) / rec.fps
+        times = (np.arange(rec.features.shape[0]) + 0.5) / rec.fps
         for n in rec.narrations:
             inside = (times >= n.a) & (times <= n.b)
             sims = rec.features[inside] @ vocab.vectors.T
@@ -148,7 +148,7 @@ class TestChunking:
     def test_frame_counts(self, vocab):
         rec = datagen.generate_video(vocab, 2, 100.0, 6, 0.1, rng_seed=9)
         chunks = datagen.chunk_video(rec, 40.0)
-        assert [c.num_frames for c in chunks] == [240, 240, 120]
+        assert [c.features.shape[0] for c in chunks] == [240, 240, 120]
         assert [c.duration for c in chunks] == [40.0, 40.0, 20.0]
 
     def test_narration_rebasing(self, vocab):

@@ -1,6 +1,7 @@
 """Checks that need a real process: a run ended by ``os._exit``, which
-flushes and closes nothing, as a kill would, and ``python -m momentset.cli``
-runs checked by their exit codes, stderr lines and files."""
+flushes and closes nothing, as a kill would, a second process writing the
+file that this one is writing, and ``python -m momentset.cli`` runs checked
+by their exit codes, stderr lines and files."""
 import json
 import os
 import resource
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from momentset import checkpoint as ckpt
-from momentset import cli
+from momentset import cli, fileio
 from momentset.config import RunConfig
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -96,6 +97,23 @@ def test_exit_right_after_a_save_resumes_to_the_same_bytes(tmp_path):
     cli.cmd_train(cfg, data, part, resume_from=part / cli.CHECKPOINT_NAME)
     for name in (cli.TRAIN_LOG_NAME, cli.CHECKPOINT_NAME):
         assert (part / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_two_processes_writing_one_file_each_rename_a_whole_file(tmp_path):
+    """While this process holds ``replace_file(p)`` open, a child writes
+    ``p`` through it to completion. Each writes its own temp file, so both
+    writes succeed, ``p`` holds the bytes of the write that closed last,
+    and no temp file is left."""
+    p = tmp_path / "x.bin"
+    child = ("from momentset import fileio\n"
+             f"with fileio.replace_file({str(p)!r}) as f:\n"
+             "    f.write(b'child')\n")
+    with fileio.replace_file(p) as f:
+        f.write(b"parent")
+        subprocess.run([sys.executable, "-c", child], env=ENV, check=True, timeout=60)
+        assert p.read_bytes() == b"child"
+    assert p.read_bytes() == b"parent"
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_train_resume_and_eval_on_chunks_without_narrations(tmp_path):
@@ -274,7 +292,7 @@ def trained(tmp_path_factory):
 # (command, the output whose name a directory takes)
 UNWRITABLE = [
     ("train", cli.TRAIN_LOG_NAME),
-    ("train", cli.CHECKPOINT_NAME + ".tmp"),
+    ("train", cli.CHECKPOINT_NAME),
     ("resume", cli.TRAIN_LOG_NAME),
     ("recognition", "report_recognition.json"),
     ("nlq", "nlq_outcomes.csv"),
