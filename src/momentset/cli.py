@@ -69,12 +69,14 @@ def _video_id(v: int) -> str:
     return f"video{v:04d}"
 
 
-def _store_video(record: datagen.VideoRecord, chunk_seconds: float, root: Path) -> dict:
-    """Write a video's chunks under ``root``; returns its manifest entry."""
+def _store_video(record: datagen.VideoRecord, chunk_seconds: float,
+                 bounds: np.ndarray, root: Path) -> dict:
+    """Write a video's chunks, its frames cut at ``bounds``
+    (datagen.chunk_bounds), under ``root``; returns its manifest entry."""
     paths = []
-    for k, chunk in enumerate(datagen.chunk_video(record, chunk_seconds)):
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         rel = f"chunks/{record.video_id}_{k:03d}.maln"
-        datagen.store(chunk, root / rel)
+        datagen.store(record.features[lo:hi], root / rel)
         paths.append(rel)
     return {
         "duration": record.duration,
@@ -142,7 +144,7 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
             for v0 in range(0, config.videos, window):
                 for record in run(make, range(v0, min(v0 + window, config.videos))):
                     manifest["videos"][record.video_id] = _store_video(
-                        record, config.chunk_seconds, out_dir)
+                        record, config.chunk_seconds, bounds, out_dir)
         manifest_path = out_dir / MANIFEST_NAME
         with fileio.replace_file(manifest_path, "w") as f:
             json.dump(manifest, f, indent=2, sort_keys=True)
@@ -159,7 +161,8 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
     return manifest_path
 
 
-# what load_dataset and eval read of each manifest video entry
+# what load_dataset and eval read of each manifest video entry, and the fps
+# that generate writes there
 _VIDEO_FIELDS = {
     "duration": is_finite_number,
     "fps": is_number,
@@ -176,9 +179,9 @@ _VIDEO_FIELDS = {
 def _check_manifest(manifest, path: Path):
     """Raise DataFileError naming ``path`` unless the manifest has the
     keys and value types that the dataset readers index, the chunk count
-    that datagen.chunk_video cuts, and narration times that interval
-    sampling can take: every t, a and b finite, and each t in [0, duration]
-    and no earlier than the one before it."""
+    that datagen.chunk_bounds cuts, and narration times that interval
+    sampling can take: every t, a and b finite, and each t in [0, duration],
+    in its interval [a, b] and no earlier than the one before it."""
     if not (isinstance(manifest, dict) and isinstance(manifest.get("vocab"), str)
             and isinstance(manifest.get("videos"), dict)):
         raise DataFileError(
@@ -197,10 +200,12 @@ def _check_manifest(manifest, path: Path):
         times = [n["t"] for n in meta["narrations"]]
         if not (all(is_finite_number(n[k]) for n in meta["narrations"] for k in "tab")
                 and all(0.0 <= t <= meta["duration"] for t in times)
+                and all(n["a"] <= n["t"] <= n["b"] for n in meta["narrations"])
                 and all(s <= t for s, t in zip(times, times[1:]))):
             raise DataFileError(
                 f"{path}: video {describe(vid)} narration times must be finite, with each "
-                f"t in [0, {describe(meta['duration'])}] and in non-decreasing order")
+                f"t in [0, {describe(meta['duration'])}] and in its interval [a, b], "
+                f"and the t in non-decreasing order")
 
 
 def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
@@ -243,10 +248,11 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
     videos: dict[str, list[datagen.StoredChunk]] = {}
     for vid in video_ids:
         meta = manifest["videos"][vid]
-        cs = meta["chunk_seconds"]
+        cut = meta["duration"], meta["chunk_seconds"], len(meta["chunks"])
         narrations = datagen.chunk_narrations(
             [datagen.Narration(n["concept_id"], n["t"], n["a"], n["b"])
-             for n in meta["narrations"]], meta["duration"], cs, len(meta["chunks"]))
+             for n in meta["narrations"]], *cut)
+        lengths = datagen.chunk_lengths(*cut)
         chunks = []
         for k, rel in enumerate(meta["chunks"]):
             shape = datagen.read_shape(data_dir / rel)
@@ -254,8 +260,7 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
                 raise DataFileError(f"{data_dir / rel}: feature width {shape[1]}, "
                                     f"vocabulary width {vocab.dim}")
             chunks.append(datagen.StoredChunk(
-                data_dir / rel, f"{vid}_c{k}", min(cs, meta["duration"] - k * cs),
-                meta["fps"], shape, narrations[k]))
+                data_dir / rel, f"{vid}_c{k}", lengths[k], shape, narrations[k]))
         videos[vid] = chunks
     return manifest, vocab, videos
 
@@ -266,10 +271,6 @@ def load_dataset(data_dir: Path, video_ids: list[str] | None = None):
 
 def build_model(config: RunConfig) -> MomentSetModel:
     return MomentSetModel(config, init_params(config, np.random.default_rng([config.seed, 2])))
-
-
-def build_optimizer(config: RunConfig, model: MomentSetModel) -> Adam:
-    return Adam(model.params, lr=config.lr)
 
 
 def _row_step(line: bytes, path: Path) -> int:
@@ -328,7 +329,7 @@ def cmd_train(config: RunConfig, data_dir: Path, out_dir: Path,
 
     if resume_from is None:
         model = build_model(config)
-        optimizer = build_optimizer(config, model)
+        optimizer = Adam(model.params, lr=config.lr)
         start_epoch = 0
     else:
         data = ckpt.load_checkpoint(resume_from)

@@ -175,6 +175,11 @@ def sample_interval(narrations: list[Narration], j: int, duration: float,
     )
 
 
+def chunk_lengths(duration: float, chunk_seconds: float, n_chunks: int) -> list[float]:
+    """Each chunk's length in seconds, chunk k first; the last may be short."""
+    return [min(chunk_seconds, duration - k * chunk_seconds) for k in range(n_chunks)]
+
+
 def chunk_narrations(narrations: list[Narration], duration: float,
                      chunk_seconds: float, n_chunks: int) -> list[list[Narration]]:
     """Each chunk's narrations, chunk k first: a narration lands in the chunk
@@ -182,10 +187,10 @@ def chunk_narrations(narrations: list[Narration], duration: float,
     timestamp and true interval clipped to the chunk; the last chunk may be
     short."""
     chunks: list[list[Narration]] = [[] for _ in range(n_chunks)]
+    lengths = chunk_lengths(duration, chunk_seconds, n_chunks)
     for n in narrations:
         k = min(int(n.t // chunk_seconds), n_chunks - 1)
-        off = k * chunk_seconds
-        dur = min(chunk_seconds, duration - off)
+        off, dur = k * chunk_seconds, lengths[k]
         chunks[k].append(Narration(n.concept_id, min(max(n.t - off, 0.0), dur),
                                    max(n.a - off, 0.0), min(n.b - off, dur)))
     return chunks
@@ -210,20 +215,6 @@ def chunk_bounds(duration: float, fps: int, chunk_seconds: float) -> np.ndarray:
                       frames).astype(np.int64)
 
 
-def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
-    """Split into the chunks that chunk_bounds cuts; narrations are cut as
-    chunk_narrations cuts them."""
-    bounds = chunk_bounds(record.duration, record.fps, chunk_seconds)
-    n_chunks = len(bounds) - 1
-    narrations = chunk_narrations(record.narrations, record.duration,
-                                  chunk_seconds, n_chunks)
-    return [VideoRecord(f"{record.video_id}_c{k}",
-                        min(chunk_seconds, record.duration - k * chunk_seconds),
-                        record.fps, record.features[bounds[k]:bounds[k + 1]],
-                        narrations[k])
-            for k in range(n_chunks)]
-
-
 # ---------------------------------------------------------------------------
 # feature-store format (little-endian):
 #   "MALN" | u32 version | u32 T | u32 C | T*C float32 row-major
@@ -231,12 +222,13 @@ def chunk_video(record: VideoRecord, chunk_seconds: float) -> list[VideoRecord]:
 # narrations are in the dataset manifest, and chunk_narrations cuts them.
 # ---------------------------------------------------------------------------
 
-def store(record: VideoRecord, path):
-    T, C = record.features.shape
+def store(features: np.ndarray, path):
+    """Write a chunk's ``T x C`` frames to ``path``."""
+    T, C = features.shape
     with fileio.replace_file(path) as f:
         f.write(struct.pack("<4sIII", MAGIC, VERSION, T, C))
         # the array's buffer, no bytes copy (and no cast of float32 features)
-        f.write(np.ascontiguousarray(record.features, dtype="<f4").data)
+        f.write(np.ascontiguousarray(features, dtype="<f4").data)
 
 
 def _shape(f) -> tuple[int, int]:
@@ -258,14 +250,14 @@ def read_shape(path) -> tuple[int, int]:
         return _shape(f)
 
 
-def load(path, video_id: str, duration: float, fps: int) -> VideoRecord:
-    """Read one chunk's frames, as a record with an empty narration list. Raises
-    FormatError naming the file for a bad header or a short payload, and
-    DataFileError for an unreadable file or trailing bytes."""
+def load(path) -> np.ndarray:
+    """Read one chunk's ``T x C`` float32 frames. Raises FormatError naming
+    the file for a bad header or a short payload, and DataFileError for an
+    unreadable file or trailing bytes."""
     with fileio.open_read(path, "chunk") as f:
         feats = np.empty(_shape(f), dtype="<f4")
         fileio.readinto(f, feats, "truncated feature payload")
-    return VideoRecord(video_id, duration, fps, feats)
+    return feats
 
 
 @dataclass
@@ -277,13 +269,12 @@ class StoredChunk:
     path: Path
     video_id: str
     duration: float
-    fps: int
     shape: tuple[int, int]        # (T, C), from the file's header
     narrations: list[Narration]
 
     @property
     def features(self) -> np.ndarray:
-        feats = load(self.path, self.video_id, self.duration, self.fps).features
+        feats = load(self.path)
         if feats.shape != self.shape:
             raise DataFileError(f"{self.path}: holds {feats.shape[0]} x {feats.shape[1]} "
                                 f"frames, not the {self.shape[0]} x {self.shape[1]} "

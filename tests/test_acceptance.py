@@ -16,6 +16,7 @@ from momentset import cli, datagen, evaluate, matching
 from momentset.config import RunConfig
 from momentset.datagen import ConceptVocabulary, Narration
 from momentset.model import ModelConfig, MomentSetModel, init_params
+from momentset.optim import Adam
 from momentset.temporal import TemporalTable
 
 
@@ -350,12 +351,12 @@ def test_acceptance_9_persistence(tmp_path):
     rec = datagen.generate_video(vocab, 2, 12.0, 2, 0.1, rng_seed=1,
                                  video_id="v")
     p1, p2 = tmp_path / "a.maln", tmp_path / "b.maln"
-    datagen.store(rec, p1)
-    datagen.store(datagen.load(p1, "v", 12.0, 2), p2)
+    datagen.store(rec.features, p1)
+    datagen.store(datagen.load(p1), p2)
     features_ok = p1.read_bytes() == p2.read_bytes()
 
     model = cli.build_model(cfg)
-    opt = cli.build_optimizer(cfg, model)
+    opt = Adam(model.params, lr=cfg.lr)
     c1, c2 = tmp_path / "a.malc", tmp_path / "b.malc"
     ckpt.save_checkpoint(c1, cfg, model, opt, epochs_done=0)
     model2, opt2 = ckpt.restore(ckpt.load_checkpoint(c1), cfg)

@@ -21,6 +21,7 @@ from momentset.config import RunConfig
 from momentset.errors import (ConfigError, DataFileError, FormatError, MomentSetError,
                               ShapeError, describe, listing)
 from momentset.model import ModelConfig, MomentSetModel
+from momentset.optim import Adam
 
 
 def tiny_run_config(**kw):
@@ -207,23 +208,32 @@ class TestLoadDataset:
         with pytest.raises(DataFileError, match="video0001"):
             cli.load_dataset(bad)
 
-    def test_chunks_get_the_narrations_that_generate_cut(self, tmp_path, monkeypatch):
-        """load_dataset cuts each video's manifest narrations into the chunks
-        that chunk_video made when the dataset was generated (130-s videos
-        in 50-, 50- and 30-s chunks)."""
-        cut = {}
-        chunk_video = datagen.chunk_video
+    def test_chunks_hold_the_generated_frames_and_narrations(self, tmp_path, monkeypatch):
+        """Each stored chunk holds its video's frames at chunk_bounds, and
+        load_dataset cuts each video's manifest narrations as
+        chunk_narrations cuts the generated record's (130-s videos in 50-,
+        50- and 30-s chunks)."""
+        made = {}
+        generate_video = datagen.generate_video
 
-        def spy(record, chunk_seconds):
-            cut[record.video_id] = chunk_video(record, chunk_seconds)
-            return cut[record.video_id]
+        def spy(*args, **kw):
+            record = generate_video(*args, **kw)
+            made[record.video_id] = record
+            return record
 
-        monkeypatch.setattr(datagen, "chunk_video", spy)
-        cli.cmd_generate(tiny_run_config(videos=4, duration=130.0, chunk_seconds=50.0,
-                                         moments_per_video=3), tmp_path)
+        monkeypatch.setattr(datagen, "generate_video", spy)
+        cfg = tiny_run_config(videos=4, duration=130.0, chunk_seconds=50.0,
+                              moments_per_video=3)
+        cli.cmd_generate(cfg, tmp_path)
         _, _, videos = cli.load_dataset(tmp_path)
+        bounds = datagen.chunk_bounds(cfg.duration, cfg.fps, cfg.chunk_seconds)
+        assert list(videos) == list(made)
+        for vid, chunks in videos.items():
+            assert [c.features.tobytes() for c in chunks] == [
+                made[vid].features[lo:hi].tobytes() for lo, hi in zip(bounds, bounds[1:])]
         assert [[c.narrations for c in cs] for cs in videos.values()] == [
-            [c.narrations for c in cs] for cs in cut.values()]
+            datagen.chunk_narrations(r.narrations, cfg.duration, cfg.chunk_seconds, 3)
+            for r in made.values()]
         assert sum(len(c.narrations) for cs in videos.values() for c in cs) == 12
 
 
@@ -244,7 +254,7 @@ class TestTrain:
     def test_checkpoint_round_trip_bit_exact(self, dataset, tmp_path):
         cfg, data = dataset
         model = cli.build_model(cfg)
-        opt = cli.build_optimizer(cfg, model)
+        opt = Adam(model.params, lr=cfg.lr)
         path = tmp_path / "a.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         model2, opt2 = ckpt.restore(ckpt.load_checkpoint(path), cfg)
@@ -255,7 +265,7 @@ class TestTrain:
     def test_save_writes_reference_bytes(self, dataset, tmp_path):
         cfg, _ = dataset
         model = cli.build_model(cfg)
-        opt = cli.build_optimizer(cfg, model)
+        opt = Adam(model.params, lr=cfg.lr)
         rng = np.random.default_rng(0)
         for name, p in model.params.items():  # "queries" keeps zero moments
             p.grad = None if name == "queries" else rng.standard_normal(p.data.shape)
@@ -276,7 +286,7 @@ class TestTrain:
     def test_restore_rejects_config_mismatch(self, dataset, tmp_path):
         cfg, _ = dataset
         model = cli.build_model(cfg)
-        opt = cli.build_optimizer(cfg, model)
+        opt = Adam(model.params, lr=cfg.lr)
         path = tmp_path / "c.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=0)
         other = tiny_run_config(lr=5e-4)
@@ -290,7 +300,7 @@ class TestTrain:
         cfg, _ = dataset
         model = cli.build_model(cfg)
         path = tmp_path / "e.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 0)
         other = tiny_run_config(lr=2e-3, batch_size=3, freeze_intervals=True)
         loaded, target = ckpt.load_model(path, other)
         assert (loaded.lr, loaded.batch_size, loaded.freeze_intervals) == (2e-3, 3, True)
@@ -307,7 +317,7 @@ class TestTrain:
         cfg, _ = dataset
         model = cli.build_model(cfg)
         path = tmp_path / "r.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 0)
         for change in ({"epochs": 9}, {"workers": 2}, {"seed": 11, "videos": 5}):
             ckpt.restore(ckpt.load_checkpoint(path), tiny_run_config(**change))
 
@@ -333,7 +343,7 @@ class TestTrain:
         cfg = RunConfig()
         model = cli.build_model(cfg)
         path = tmp_path / "d.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 1)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 1)
         data = ckpt.load_checkpoint(path)
         tracemalloc.start()
         try:
@@ -397,7 +407,7 @@ class TestTrain:
         cfg, _ = dataset
         model = cli.build_model(cfg)
         path = tmp_path / "h.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 0)
         data = ckpt.load_checkpoint(path)
         arrays = list(data.tensors.values())
         for arr in arrays:
@@ -423,7 +433,7 @@ class TestTrain:
         cfg, _ = dataset
         model = cli.build_model(cfg)
         path = tmp_path / "x.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 0)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(DataFileError, match=match):
             ckpt.load_model(path, cfg)
@@ -433,7 +443,7 @@ class TestTrain:
     def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path):
         cfg, _ = dataset
         model = cli.build_model(cfg)
-        opt = cli.build_optimizer(cfg, model)
+        opt = Adam(model.params, lr=cfg.lr)
         path = tmp_path / "k.malc"
         ckpt.save_checkpoint(path, cfg, model, opt, epochs_done=1)
         good = path.read_bytes()
@@ -458,7 +468,7 @@ class TestTrain:
                               conv_kernel=1, enc_layers=0, dec_layers=0)
         model = cli.build_model(cfg)
         path = tmp_path / "full.malc"
-        ckpt.save_checkpoint(path, cfg, model, cli.build_optimizer(cfg, model), 0)
+        ckpt.save_checkpoint(path, cfg, model, Adam(model.params, lr=cfg.lr), 0)
         blob = path.read_bytes()
         cut_path = tmp_path / "cut.malc"
         for cut in range(len(blob)):
@@ -938,9 +948,9 @@ class TestDataPath:
         reads = []
         load = datagen.load
 
-        def counted(path, *args):
+        def counted(path):
             reads.append(Path(path).name)
-            return load(path, *args)
+            return load(path)
 
         monkeypatch.setattr(datagen, "load", counted)
         _, _, videos = cli.load_dataset(data)
@@ -964,7 +974,7 @@ class TestDataPath:
         shutil.copytree(data, bad)
         _, _, videos = cli.load_dataset(bad)
         chunk = videos["video0000"][0]
-        datagen.store(datagen.VideoRecord("c", 1.0, 2, chunk.features[:-1]), chunk.path)
+        datagen.store(chunk.features[:-1], chunk.path)
         with pytest.raises(DataFileError, match="when the dataset was loaded"):
             chunk.features
 
@@ -1234,12 +1244,12 @@ class TestMainEntry:
         store = datagen.store
         calls = []
 
-        def fail_third(record, path):
+        def fail_third(features, path):
             calls.append(path)
             if len(calls) == 3:
                 with fileio.replace_file(path):
                     raise OSError(28, "No space left on device")
-            store(record, path)
+            store(features, path)
 
         monkeypatch.setattr(datagen, "store", fail_third)
         with pytest.raises(DataFileError, match="cannot write") as e:
@@ -1256,9 +1266,9 @@ class TestMainEntry:
         out.mkdir(parents=True)
         store, seen = datagen.store, []
 
-        def store_and_look(record, path):
+        def store_and_look(features, path):
             seen.append(sorted(p.name for p in parent.iterdir()))
-            store(record, path)
+            store(features, path)
 
         monkeypatch.setattr(datagen, "store", store_and_look)
         parent.chmod(0o555)
@@ -1383,9 +1393,8 @@ def _rewrite_manifest(edit):
 
 def _wider_features(data: Path):
     path = _first_chunk_file(data)
-    rec = datagen.load(path, "c", 6.0, 2)
-    rec.features = np.hstack([rec.features, rec.features[:, :1]])
-    datagen.store(rec, path)
+    feats = datagen.load(path)
+    datagen.store(np.hstack([feats, feats[:, :1]]), path)
 
 
 def _trailing_byte(data: Path):
@@ -1523,7 +1532,7 @@ class TestFuzz:
         cfg = tiny_run_config(enc_layers=0, dec_layers=0)
         model = cli.build_model(cfg)
         good = tmp_path / "good.malc"
-        ckpt.save_checkpoint(good, cfg, model, cli.build_optimizer(cfg, model), 1)
+        ckpt.save_checkpoint(good, cfg, model, Adam(model.params, lr=cfg.lr), 1)
         blob = good.read_bytes()
         frame = _checkpoint_frame_offsets(blob)
         path = tmp_path / "flipped.malc"

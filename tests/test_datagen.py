@@ -140,84 +140,73 @@ class TestSampleInterval:
 class TestChunking:
     def test_single_chunk_identity(self, vocab):
         rec = datagen.generate_video(vocab, 2, 600.0, 1, 0.1, rng_seed=8)
-        chunks = datagen.chunk_video(rec, 600.0)
-        assert len(chunks) == 1
-        assert chunks[0].features.tobytes() == rec.features.tobytes()
-        assert chunks[0].narrations == rec.narrations
+        assert datagen.chunk_bounds(600.0, 1, 600.0).tolist() == [0, len(rec.features)]
+        assert datagen.chunk_narrations(rec.narrations, 600.0, 600.0, 1) == [rec.narrations]
 
-    def test_frame_counts(self, vocab):
-        rec = datagen.generate_video(vocab, 2, 100.0, 6, 0.1, rng_seed=9)
-        chunks = datagen.chunk_video(rec, 40.0)
-        assert [c.features.shape[0] for c in chunks] == [240, 240, 120]
-        assert [c.duration for c in chunks] == [40.0, 40.0, 20.0]
+    def test_frame_counts(self):
+        assert np.diff(datagen.chunk_bounds(100.0, 6, 40.0)).tolist() == [240, 240, 120]
+        assert datagen.chunk_lengths(100.0, 40.0, 3) == [40.0, 40.0, 20.0]
 
-    def test_narration_rebasing(self, vocab):
-        rec = datagen.generate_video(vocab, 1, 100.0, 6, 0.1, rng_seed=10)
-        rec.narrations = [Narration(0, 50.0, 45.0, 55.0)]
-        chunks = datagen.chunk_video(rec, 40.0)
-        assert [len(c.narrations) for c in chunks] == [0, 1, 0]
-        n = chunks[1].narrations[0]
+    def test_narration_rebasing(self):
+        chunks = datagen.chunk_narrations([Narration(0, 50.0, 45.0, 55.0)], 100.0, 40.0, 3)
+        assert [len(c) for c in chunks] == [0, 1, 0]
+        n = chunks[1][0]
         assert n.t == pytest.approx(10.0)
         assert (n.a, n.b) == (5.0, 15.0)
 
-    def test_timestamp_on_a_chunk_boundary_stays_in_its_chunk(self, vocab):
+    def test_timestamp_on_a_chunk_boundary_stays_in_its_chunk(self):
         # 339.0 // 13.56 is 24, and 339.0 - 24 * 13.56 rounds to just above
         # 13.56, the chunk's length
-        rec = datagen.generate_video(vocab, 1, 382.17, 1, 0.1, rng_seed=19)
-        rec.narrations = [Narration(0, 339.0, 338.0, 340.0)]
-        chunk = datagen.chunk_video(rec, 13.56)[24]
-        assert chunk.narrations[0].t == chunk.duration == 13.56
+        n_chunks = len(datagen.chunk_bounds(382.17, 1, 13.56)) - 1
+        narrations = datagen.chunk_narrations(
+            [Narration(0, 339.0, 338.0, 340.0)], 382.17, 13.56, n_chunks)[24]
+        assert narrations[0].t == datagen.chunk_lengths(382.17, 13.56, n_chunks)[24] == 13.56
 
-    def test_chunk_narrations_cut_as_chunk_video_cuts(self, vocab):
+    def test_chunk_narrations_at_the_chunk_edges(self):
         """A narration at exactly 1 * chunk_seconds opens chunk 1; one in the
         short last chunk is clipped to that chunk's 20 s."""
-        rec = datagen.generate_video(vocab, 1, 100.0, 6, 0.1, rng_seed=21)
-        rec.narrations = [Narration(0, 40.0, 35.0, 45.0), Narration(1, 95.0, 90.0, 100.0)]
-        cut = datagen.chunk_narrations(rec.narrations, 100.0, 40.0, 3)
-        assert cut == [c.narrations for c in datagen.chunk_video(rec, 40.0)]
+        narrations = [Narration(0, 40.0, 35.0, 45.0), Narration(1, 95.0, 90.0, 100.0)]
+        cut = datagen.chunk_narrations(narrations, 100.0, 40.0, 3)
         assert cut == [[], [Narration(0, 0.0, 0.0, 5.0)], [Narration(1, 15.0, 10.0, 20.0)]]
 
     def test_reassembly_exact(self, vocab):
         rec = datagen.generate_video(vocab, 3, 100.0, 6, 0.1, rng_seed=11)
-        chunks = datagen.chunk_video(rec, 30.0)
-        joined = np.concatenate([c.features for c in chunks], axis=0)
+        bounds = datagen.chunk_bounds(100.0, 6, 30.0)
+        joined = np.concatenate([rec.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])])
         np.testing.assert_array_equal(joined, rec.features)
 
 
 class TestFeatureStore:
     def test_round_trip(self, vocab, tmp_path):
-        """A chunk file holds the frames and no narration."""
-        rec = datagen.generate_video(vocab, 3, 40.0, 6, 0.1, rng_seed=12,
-                                     video_id="vid")
+        """A chunk file gives back its frames bit-exactly."""
+        rec = datagen.generate_video(vocab, 3, 40.0, 6, 0.1, rng_seed=12)
         path = tmp_path / "vid.maln"
-        datagen.store(rec, path)
-        again = datagen.load(path, "vid", rec.duration, rec.fps)
-        assert again.narrations == []
-        rec.narrations = []
-        assert records_equal(rec, again)
+        datagen.store(rec.features, path)
+        again = datagen.load(path)
+        assert again.shape == rec.features.shape
+        assert again.tobytes() == rec.features.tobytes()
 
     def test_features_held_as_float32(self, vocab, tmp_path):
-        """generate_video, chunk_video and load all yield the on-disk dtype."""
+        """generate_video, its chunk slices and load all yield the on-disk dtype."""
         rec = datagen.generate_video(vocab, 2, 30.0, 6, 0.1, rng_seed=19)
-        chunks = datagen.chunk_video(rec, 20.0)
+        bounds = datagen.chunk_bounds(30.0, 6, 20.0)
+        chunks = [rec.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         datagen.store(chunks[1], tmp_path / "x.maln")
-        again = datagen.load(tmp_path / "x.maln", "x", chunks[1].duration, 6)
-        assert [r.features.dtype for r in (rec, *chunks, again)] == [np.float32] * 4
+        again = datagen.load(tmp_path / "x.maln")
+        assert [f.dtype for f in (rec.features, *chunks, again)] == [np.float32] * 4
 
     def test_store_of_float64_features_writes_reference_bytes(self, tmp_path):
         """Features of another dtype or layout are rounded to the f32 payload,
-        row-major, as astype("<f4") rounds them; the narrations are not
-        written."""
+        row-major, as astype("<f4") rounds them."""
         feats = np.random.default_rng(20).standard_normal((3, 5)).T  # not C-contiguous
-        rec = VideoRecord("v", 5.0, 1, feats, [Narration(2, 2.5, 1.0, 4.0)])
-        datagen.store(rec, tmp_path / "v.maln")
+        datagen.store(feats, tmp_path / "v.maln")
         expect = struct.pack("<4sIII", b"MALN", 2, 5, 3) + feats.astype("<f4").tobytes()
         assert (tmp_path / "v.maln").read_bytes() == expect
 
     def test_file_size_formula(self, vocab, tmp_path):
         rec = datagen.generate_video(vocab, 2, 30.0, 6, 0.1, rng_seed=13)
         path = tmp_path / "x.maln"
-        datagen.store(rec, path)
+        datagen.store(rec.features, path)
         T, C = rec.features.shape
         expect = 16 + T * C * 4
         assert path.stat().st_size == expect
@@ -225,38 +214,38 @@ class TestFeatureStore:
     def test_bad_magic(self, vocab, tmp_path):
         rec = datagen.generate_video(vocab, 1, 20.0, 6, 0.1, rng_seed=14)
         path = tmp_path / "x.maln"
-        datagen.store(rec, path)
+        datagen.store(rec.features, path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            datagen.load(path, "x", 20.0, 6)
+            datagen.load(path)
 
     def test_version_mismatch(self, vocab, tmp_path):
         rec = datagen.generate_video(vocab, 1, 20.0, 6, 0.1, rng_seed=15)
         path = tmp_path / "x.maln"
-        datagen.store(rec, path)
+        datagen.store(rec.features, path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
-            datagen.load(path, "x", 20.0, 6)
+            datagen.load(path)
 
     def test_truncated(self, vocab, tmp_path):
         rec = datagen.generate_video(vocab, 1, 20.0, 6, 0.1, rng_seed=16)
         path = tmp_path / "x.maln"
-        datagen.store(rec, path)
+        datagen.store(rec.features, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
-            datagen.load(path, "x", 20.0, 6)
+            datagen.load(path)
 
     @pytest.mark.parametrize("j, field, value", [
         (0, "t", float("nan")), (0, "t", -5.0), (2, "t", 1e300), (2, "t", 20.5),
         (1, "t", 1.0), (0, "a", float("inf")), (1, "b", float("nan")),
-        (1, "b", 10**400),
+        (1, "b", 10**400), (1, "a", 15.0), (1, "b", 5.0),
     ], ids=["t_nan", "t_negative", "t_huge", "t_past_end", "t_out_of_order",
-            "a_inf", "b_nan", "b_huge_int"])
+            "a_inf", "b_nan", "b_huge_int", "a_after_t", "b_before_t"])
     def test_bad_narration_time(self, dataset, tmp_path, j, field, value):
         """Times that interval sampling cannot draw between are refused when
         the dataset loads, naming the manifest."""
@@ -267,7 +256,7 @@ class TestFeatureStore:
     def test_narration_times_at_the_bounds_load(self, dataset, tmp_path):
         def to_bounds(narrations):
             for n, t in zip(narrations, (0.0, 0.0, 20.0)):
-                n["t"] = t
+                n.update(t=t, a=min(n["a"], t), b=max(n["b"], t))
         _, _, videos = cli.load_dataset(with_narrations(dataset, tmp_path, to_bounds))
         assert [[n.t for n in c.narrations] for c in videos["video0000"]] == [
             [0.0, 0.0], [10.0]]
