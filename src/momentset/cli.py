@@ -138,7 +138,7 @@ def cmd_generate(config: RunConfig, out_dir: Path, force: bool = False) -> Path:
         manifest = {"version": 1, "vocab": VOCAB_NAME,
                     "config": config.to_dict(), "videos": {}}
         # at most ``window`` videos are held at once; no thread starts at 1
-        window = max(config.workers, 1)
+        window = config.workers
         with ThreadPoolExecutor(max_workers=window) as pool:
             run = pool.map if window > 1 else map
             for v0 in range(0, config.videos, window):
@@ -389,27 +389,25 @@ def _video_predictions(model: MomentSetModel, videos, batch_size: int, te: bool)
     """Yield (video_id, chunks, (visual, te_start, te_end)) for each video in
     sorted id order.
 
-    Whole videos share one stacked forward until it holds at least
-    ``batch_size`` chunks or the videos run out; a video is never split.
-    A video's arrays are its rows of the stack, row k chunk k. With ``te``
-    False the forward skips the temporal head and the TE arrays are None.
+    The chunks run in (video id, chunk) order, at most ``batch_size`` to a
+    forward across video bounds, as a train step stacks its batch; a chunk's
+    rows do not depend on what is stacked with it. A video is yielded, row k
+    chunk k, once its last chunk has run, so eval holds one stack plus one
+    video's rows. With ``te`` False the forward skips the temporal head and
+    the TE arrays are None.
     """
-    vids = sorted(videos)
-    start = 0
-    while start < len(vids):
-        stop, rows = start, 0
-        while stop < len(vids) and rows < batch_size:
-            rows += len(videos[vids[stop]])
-            stop += 1
-        group = vids[start:stop]
-        pred = model.forward_chunks([c.features for vid in group for c in videos[vid]], te)
-        row = 0
-        for vid in group:
-            chunks = videos[vid]
-            yield vid, chunks, tuple(None if f is None else f.data[row:row + len(chunks)]
-                                     for f in (pred.visual, pred.te_start, pred.te_end))
-            row += len(chunks)
-        start = stop
+    flat = [(vid, c) for vid in sorted(videos) for c in videos[vid]]
+    held = []  # the rows of the video being gathered, one tuple a chunk
+    for s in range(0, len(flat), batch_size):
+        stack = flat[s:s + batch_size]
+        pred = model.forward_chunks([c.features for _, c in stack], te)
+        for k, (vid, _) in enumerate(stack):
+            held.append(tuple(None if f is None else f.data[k]
+                              for f in (pred.visual, pred.te_start, pred.te_end)))
+            if len(held) == len(videos[vid]):
+                yield vid, videos[vid], tuple(None if f[0] is None else np.stack(f)
+                                              for f in zip(*held))
+                held = []
 
 
 def eval_recognition(config: RunConfig, model: MomentSetModel, vocab,
@@ -513,8 +511,9 @@ def cmd_eval(config: RunConfig, data_dir: Path, out_dir: Path, task: str,
     videos have no label (recognition) or no narration (nlq) to score.
     ``out_dir`` is made only once the dataset and the checkpoint are read
     and every chunk of the selected videos passes the checkpoint model's
-    ModelConfig.check_input, on its header shape; a video's frames are
-    read when its forward runs (_video_predictions).
+    ModelConfig.check_input, on its header shape; a chunk's frames are read
+    when its forward runs, at most ``batch_size`` chunks to a forward across
+    video bounds (_video_predictions).
     """
     if task not in ("recognition", "nlq"):
         raise ConfigError(f"unknown eval task '{task}'")

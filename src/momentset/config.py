@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from .errors import ConfigError, describe, listing
 from .model import ModelConfig
 
+# The most generate threads a config may ask for: generate holds the frames
+# of up to ``workers`` videos at once. A fixed cap, as model.MAX_PARAMS is.
+MAX_WORKERS = 64
+
 
 def is_number(v) -> bool:
     """An int or float JSON value; bool, although an int subclass, is not."""
@@ -90,6 +94,8 @@ class RunConfig(ModelConfig):
             problems.append("videos and vocab_size must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:
             problems.append("batch_size and epochs must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            problems.append(f"workers must be in [1, {MAX_WORKERS}]")
         if problems:
             raise ConfigError("; ".join(problems))
         super().validate()

@@ -14,7 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import expit
 
 from . import tensor as tt
-from .datagen import (UNIT_NORM_TOL, ConceptVocabulary, MomentSample, VideoRecord,
+from .datagen import (UNIT_NORM_TOL, ConceptVocabulary, MomentSample, StoredChunk,
                       sample_interval)
 from .errors import CapacityError, ContractError, NumericError
 from .model import MomentPrediction, MomentSetModel
@@ -107,7 +107,7 @@ def sigmoid_contrastive_loss(sims, assignments, log_t: Tensor, b: Tensor) -> Ten
 
 
 def batch_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
-                       chunks: list[VideoRecord],
+                       chunks: list[StoredChunk],
                        samples: list[list[MomentSample]]) -> GroundTruthSet:
     """B x Mmax ground truth for chunks with at least one sample each.
 
@@ -130,7 +130,7 @@ def batch_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
 
 
 def chunk_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
-                       chunk: VideoRecord,
+                       chunk: StoredChunk,
                        samples: list[MomentSample]) -> GroundTruthSet:
     """Embed sampled intervals and look up concept vectors for one chunk
     (M x ...): the only row of a batch of one."""
@@ -139,14 +139,14 @@ def chunk_ground_truth(model: MomentSetModel, vocab: ConceptVocabulary,
                             for t in (gt.lang, gt.te_start, gt.te_end)))
 
 
-def sample_chunk_intervals(chunk: VideoRecord,
+def sample_chunk_intervals(chunk: StoredChunk,
                            rng: np.random.Generator) -> list[MomentSample]:
     return [sample_interval(chunk.narrations, j, chunk.duration, rng)
             for j in range(len(chunk.narrations))]
 
 
 def batch_loss(model: MomentSetModel, vocab: ConceptVocabulary,
-               chunks: list[VideoRecord], samples: list[list[MomentSample]],
+               chunks: list[StoredChunk], samples: list[list[MomentSample]],
                assignments: list[np.ndarray] | None = None):
     """Forward, match and loss for a batch: the mean of the chunk losses.
 
@@ -191,7 +191,7 @@ def _sim_means(sims, assignments):
 
 
 def train_step(model: MomentSetModel, vocab: ConceptVocabulary,
-               chunks: list[VideoRecord], samples: list[list[MomentSample]],
+               chunks: list[StoredChunk], samples: list[list[MomentSample]],
                optimizer) -> StepStats:
     """One optimizer step on a batch of chunks and their interval samples
     (``batch_loss``); ``samples[b]`` is chunk b's, at least one each. The

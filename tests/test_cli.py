@@ -108,6 +108,9 @@ class TestConfig:
             ModelConfig(heads=3)
         with pytest.raises(ConfigError, match="lr must be positive"):
             dataclasses.replace(RunConfig(), lr=0.0)
+        for workers in (0, -1, 65):
+            with pytest.raises(ConfigError, match=r"workers must be in \[1, 64\]"):
+                RunConfig(workers=workers)
         cfg = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.seed = -1
@@ -818,15 +821,19 @@ def _record_forwards(monkeypatch) -> list[list[np.ndarray]]:
     return calls
 
 
-def _calls_as_videos(calls, videos) -> list[list[str]]:
-    """Each call's chunk list as the ids of the whole videos it stacks, in
-    order; fails if a call holds part of a video. A chunk's frames are read
-    at each access, so they are matched by their bytes."""
+def _calls_as_chunks(calls, videos) -> list[list[tuple[str, int]]]:
+    """Each call's chunk list as (video id, chunk index) pairs. A chunk's
+    frames are read at each access, so they are matched by their bytes."""
     owner = {c.features.tobytes(): (vid, k) for vid, cs in videos.items()
              for k, c in enumerate(cs)}
+    return [[owner[f.tobytes()] for f in features_list] for features_list in calls]
+
+
+def _calls_as_videos(calls, videos) -> list[list[str]]:
+    """Each call's chunk list as the ids of the whole videos it stacks, in
+    order; fails if a call holds part of a video."""
     out = []
-    for features_list in calls:
-        chunks = [owner[f.tobytes()] for f in features_list]
+    for chunks in _calls_as_chunks(calls, videos):
         vids = list(dict.fromkeys(vid for vid, _ in chunks))
         assert chunks == [(vid, k) for vid in vids for k in range(len(videos[vid]))]
         out.append(vids)
@@ -872,16 +879,21 @@ class TestEvalBatching:
         assert [vid for g in groups for vid in g] == sorted(videos)
 
     @EVALS
-    def test_video_longer_than_a_batch_runs_alone(self, mixed_trained, monkeypatch,
-                                                  eval_task):
+    def test_chunks_run_batch_size_to_a_forward_across_videos(
+            self, mixed_trained, monkeypatch, eval_task):
+        """Four 3-chunk videos at batch 2: the forwards hold the chunks in
+        sorted (video, chunk) order, two at a time, the last one the rest,
+        so a video longer than a batch is split across forwards."""
         cfg, data, _ = mixed_trained
         cfg = dataclasses.replace(cfg, batch_size=2)
         manifest, vocab, videos = cli.load_dataset(data)
         model = cli.build_model(cfg)
         calls = _record_forwards(monkeypatch)
         eval_task(cfg, model, vocab, manifest, videos)
-        assert _calls_as_videos(calls, videos) == [[vid] for vid in sorted(videos)]
-        assert [len(c) for c in calls] == [3] * len(videos)
+        flat = [(vid, k) for vid in sorted(videos) for k in range(len(videos[vid]))]
+        assert all(len(cs) == 3 for cs in videos.values())
+        assert _calls_as_chunks(calls, videos) == [flat[s:s + 2]
+                                                   for s in range(0, len(flat), 2)]
 
     def test_recognition_does_not_compute_the_temporal_head(self, mixed_trained):
         """With a temporal head of the wrong shape, recognition (whose stacks
@@ -938,6 +950,24 @@ class TestDataPath:
         for small, large, what in zip(peaks[4], peaks[16],
                                       ("generate", "train", "recognition", "nlq")):
             assert large - small < video, (what, small, large)
+
+    def test_eval_memory_does_not_grow_with_a_video(self, tmp_path):
+        """At batch 2, each eval's peak on one 480-s video (16 chunks) is
+        within one 60-s video's frames of that on one 60-s video (2 chunks):
+        a long video runs in stacks of the batch."""
+        peaks = {}
+        for duration in (60.0, 480.0):
+            cfg = wide_run_config(videos=1, batch_size=2, duration=duration)
+            data, run = tmp_path / f"data{duration:g}", tmp_path / f"run{duration:g}"
+            cli.cmd_generate(cfg, data)
+            cli.cmd_train(cfg, data, run)
+            peaks[duration] = [traced_peak(lambda: cli.cmd_eval(cfg, data, run, task,
+                                                                run / cli.CHECKPOINT_NAME))
+                               for task in ("recognition", "nlq")]
+        cfg = wide_run_config()
+        video = round(cfg.duration * cfg.fps) * cfg.feature_dim * 4
+        for short, long, what in zip(peaks[60.0], peaks[480.0], ("recognition", "nlq")):
+            assert long - short < video, (what, short, long)
 
     def test_each_payload_is_read_once_a_use(self, tmp_path, monkeypatch):
         """load_dataset reads no frame; training reads each narrated chunk
@@ -1128,6 +1158,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: config: seed must be >= 0"), err
+        assert not (tmp_path / "o").exists()
+
+    def test_workers_flag_above_the_cap(self, tmp_path, capsys):
+        """--workers 65 is refused before any thread starts or file exists."""
+        rc = cli.main(["generate", "--out", str(tmp_path / "o"), "--workers", "65"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: config: workers must be in [1, 64]"), err
         assert not (tmp_path / "o").exists()
 
     def test_dataset_with_no_videos_is_nothing_to_train(self, dataset, tmp_path, capsys):
